@@ -4,17 +4,48 @@
 //! # Wire format
 //!
 //! Every frame is length-prefixed: `[u32 len][u8 kind][body]`, all integers
-//! little-endian. Three kinds exist:
+//! little-endian, where `len` counts the kind byte and the body. Each kind
+//! has exactly one legal length, and every frame leaves in a single write
+//! of a fixed-size buffer. Three kinds exist:
 //!
-//! * `HELLO` (`kind = 1`): `u32 src` — sent once by the connection
-//!   initiator, identifying which node's outbound traffic the connection
-//!   carries. Connections are direction-dedicated: node `a` dials node `b`
-//!   to *send* to `b`; deliveries from `b` to `a` ride `b`'s own dial.
-//! * `DATA` (`kind = 2`): `u64 epoch, u32 src, u32 dst, u32 seq,
-//!   u32 attempt, u64 payload` — one [`Envelope`] stamped with the sender's
-//!   trial epoch (the global trial index + 1; see below).
-//! * `ACK` (`kind = 3`): `u64 epoch, u32 seq` — acknowledges receipt of the
-//!   `DATA` frame with that `(epoch, seq)` on the same connection.
+//! * `HELLO` (`kind = 1`, `len = 5`): `u32 src` — sent once by the
+//!   connection initiator, identifying which node's outbound traffic the
+//!   connection carries. Connections are direction-dedicated: node `a`
+//!   dials node `b` to *send* to `b`; deliveries from `b` to `a` ride `b`'s
+//!   own dial.
+//! * `DATA` (`kind = 2`, `len = 33`): `u64 epoch, u32 src, u32 dst,
+//!   u32 seq, u32 attempt, u64 payload` — one [`Envelope`] stamped with the
+//!   sender's trial epoch (the global trial index + 1; see below).
+//! * `ACK` (`kind = 3`, `len = 9`): `u64 count` — a cumulative
+//!   acknowledgement: the number of `DATA` frames the receiver has read on
+//!   this connection so far.
+//!
+//! A receiver closes the connection on anything else: a length above the
+//! largest legal frame, a frame shorter or longer than its kind allows, an
+//! unknown kind, or a first frame that is not `HELLO`. It drops (but still
+//! counts and acknowledges) a `DATA` frame whose `dst` is not its own node.
+//!
+//! # Pipelining: the window and replay
+//!
+//! A send does not wait for its own acknowledgement. The sender keeps up to
+//! 64 (`WINDOW`) unacknowledged `DATA` frames per peer and reads acks only
+//! when that window is full; the receiver's connection handler acks
+//! whenever its read buffer drains, and at least every 32 (`ACK_EVERY`)
+//! frames, so a full window usually clears in one read. When a connection
+//! fails, the sender keeps the unacknowledged frames; on the next dial to
+//! the *same* address it writes `HELLO`, replays them in order, then the
+//! new frame. The receiver's `(epoch, src, seq)` dedup absorbs whatever the
+//! old connection had already delivered. [`TcpTransport::set_peer`] with a
+//! new address (a restarted process) drops the connection and its replay
+//! frames; with an unchanged address it keeps both.
+//!
+//! So on this transport [`SendOutcome::Acked`] means "accepted into the
+//! window of a live connection", not "received". A dead peer shows up on
+//! the dial (refused), on a failed write (reset), or when the window fills
+//! and no ack arrives within the attempt's wall window; a frame that died
+//! with its connection before the receiver read it breaks its trial through
+//! the receiver's [`crate::transport::FaultCause::RecvTimeout`] or the
+//! supervisor's missing report, never as a silently wrong delivery.
 //!
 //! # Epochs and the block-index determinism contract
 //!
@@ -23,11 +54,12 @@
 //! every trial, so `(src, seq)` alone cannot deduplicate across trials once
 //! real sockets (which outlive trials) are involved. Each `DATA` frame
 //! therefore carries the sender's *epoch* — a monotone trial counter that
-//! every process derives from the same global trial index. A receiver:
+//! every process derives from the same global trial index. A receiver
+//! buffers frames in one queue ordered by epoch and:
 //!
-//! * delivers a frame whose epoch matches its own, deduplicating on
+//! * delivers a frame whose epoch matches its own, at most once per
 //!   `(epoch, src, seq)`;
-//! * buffers a frame from the *future* (the peer has pipelined ahead within
+//! * keeps a frame from the *future* (the peer has pipelined ahead within
 //!   the batch) until [`TcpTransport::set_epoch`]/`begin_trial` catches up;
 //! * drops — but still acknowledges — a *stale* frame (a retransmission of a
 //!   trial this node has already finished or abandoned), so a lagging sender
@@ -40,22 +72,24 @@
 //! [`crate::policy::RetryPolicy`] backoff schedule in virtual nanoseconds.
 //! This transport makes those windows physically real: a window of `w`
 //! virtual ns becomes a wall-clock wait of `w * nanos_per_vns` (clamped to
-//! `[min_wait, max_wait]`). An attempt that fails *early* — connection
-//! refused while a peer restarts, connection reset when it dies — sleeps out
-//! the remainder of its window before reporting [`SendOutcome::Lost`], so
-//! the retry schedule paces reconnection exactly like the virtual backoff
-//! discipline: attempt `i` rides out `~base_timeout << i` of peer downtime,
-//! and a policy's [`crate::policy::RetryPolicy::virtual_budget`] bounds the wall time a
-//! surviving node spends on a dead peer before surfacing a
+//! `[min_wait, max_wait]`). It bounds the dial and the wait for acks of a
+//! full window. An attempt that fails *early* — connection refused while a
+//! peer restarts, connection reset when it dies — sleeps out the remainder
+//! of its window before reporting [`SendOutcome::Lost`], so the retry
+//! schedule paces reconnection exactly like the virtual backoff discipline:
+//! attempt `i` rides out `~base_timeout << i` of peer downtime, and a
+//! policy's [`crate::policy::RetryPolicy::virtual_budget`] bounds the wall
+//! time a surviving node spends on a dead peer before surfacing a
 //! [`crate::transport::FaultCause`] to the supervisor.
 //!
 //! Crash detection is thus two-level: in-band (connection refused/reset and
-//! acknowledgement silence, absorbed by the retry schedule) and out-of-band
-//! (the supervisor's control-channel heartbeat, which notices a dead child
-//! immediately and restarts it; see `dqma::cluster`).
+//! acknowledgement silence on a full window, absorbed by the retry
+//! schedule) and out-of-band (the supervisor's control-channel heartbeat,
+//! which notices a dead child immediately and restarts it; see
+//! `dqma::cluster`).
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,6 +100,23 @@ use crate::transport::{Envelope, NodeId, RecvOutcome, SendOutcome, Transport, VT
 const KIND_HELLO: u8 = 1;
 const KIND_DATA: u8 = 2;
 const KIND_ACK: u8 = 3;
+
+/// Legal `len` of each frame kind (the kind byte plus the body).
+const HELLO_LEN: usize = 5;
+const DATA_LEN: usize = 33;
+const ACK_LEN: usize = 9;
+/// The largest legal `len`; a longer frame closes the connection.
+const MAX_LEN: usize = DATA_LEN;
+
+/// A whole `DATA` frame, length prefix included, as written and replayed.
+type DataFrame = [u8; 4 + DATA_LEN];
+
+/// Most unacknowledged `DATA` frames a sender keeps per peer.
+const WINDOW: usize = 64;
+
+/// A receiver acks at least once per this many `DATA` frames, even while
+/// its read buffer never drains.
+const ACK_EVERY: u64 = 32;
 
 /// Wall-clock shaping of the virtual-time retry windows.
 #[derive(Clone, Debug)]
@@ -102,21 +153,157 @@ impl TcpConfig {
 }
 
 /// Inbound state shared with the acceptor/handler threads.
+#[derive(Default)]
 struct MailState {
     /// Current epoch: frames stamped with it are deliverable now.
     epoch: u64,
-    /// Deliverable / future envelopes, keyed by epoch, FIFO within a key.
-    by_epoch: HashMap<u64, Vec<Envelope>>,
-    /// Dedup keys `(epoch, src, seq)` of everything accepted so far.
-    seen: HashMap<u64, Vec<(NodeId, u32)>>,
+    /// Envelopes of the current and future epochs, ordered by epoch and
+    /// FIFO within one; may hold duplicates until delivery.
+    queue: VecDeque<(u64, Envelope)>,
+    /// `(src, seq)` of everything delivered in the current epoch.
+    delivered: Vec<(NodeId, u32)>,
 }
 
+type Mail = Arc<(Mutex<MailState>, Condvar)>;
+
 impl MailState {
-    /// Drops buffered envelopes and dedup state of epochs before `epoch`.
-    fn prune(&mut self) {
-        let e = self.epoch;
-        self.by_epoch.retain(|&k, _| k >= e);
-        self.seen.retain(|&k, _| k >= e);
+    /// Moves to `epoch`, dropping buffered envelopes of earlier epochs.
+    fn set_epoch(&mut self, epoch: u64) {
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.delivered.clear();
+        }
+        while self.queue.front().is_some_and(|&(e, _)| e < epoch) {
+            self.queue.pop_front();
+        }
+    }
+
+    /// Buffers `env` stamped with `epoch`, dropping it if stale. Returns
+    /// whether it is deliverable now.
+    fn push(&mut self, epoch: u64, env: Envelope) -> bool {
+        if epoch < self.epoch {
+            return false;
+        }
+        let at = self.queue.partition_point(|&(e, _)| e <= epoch);
+        self.queue.insert(at, (epoch, env));
+        epoch == self.epoch
+    }
+
+    /// The next current-epoch envelope not delivered yet.
+    fn pop(&mut self) -> Option<Envelope> {
+        while let Some(&(epoch, env)) = self.queue.front() {
+            if epoch != self.epoch {
+                return None;
+            }
+            self.queue.pop_front();
+            if !self.delivered.contains(&(env.src, env.seq)) {
+                self.delivered.push((env.src, env.seq));
+                return Some(env);
+            }
+        }
+        None
+    }
+}
+
+/// Outbound state for one peer.
+struct Peer {
+    addr: SocketAddr,
+    conn: Option<Conn>,
+    /// `DATA` frames written but not acknowledged yet, oldest first (at
+    /// most [`WINDOW`]); replayed on the next dial.
+    unacked: VecDeque<DataFrame>,
+}
+
+/// One live outbound connection.
+struct Conn {
+    /// Reads acks; frames are written through `get_ref()`.
+    reader: BufReader<TcpStream>,
+    /// `DATA` frames written on this connection, replays included.
+    sent: u64,
+    /// The `SO_RCVTIMEO` installed on the socket.
+    timeout: Option<Duration>,
+}
+
+impl Peer {
+    fn new(addr: SocketAddr) -> Self {
+        Peer {
+            addr,
+            conn: None,
+            unacked: VecDeque::new(),
+        }
+    }
+
+    /// Puts `frame` on the wire, dialling (and replaying) first if there is
+    /// no live connection, and waiting up to `budget` for acks if the
+    /// window is full. On `Err` the caller drops the connection.
+    fn send(
+        &mut self,
+        me: NodeId,
+        frame: &DataFrame,
+        cfg: &TcpConfig,
+        budget: Duration,
+    ) -> io::Result<()> {
+        if self.conn.is_none() {
+            self.conn = Some(self.dial(me, cfg.connect_timeout.min(budget))?);
+        }
+        let conn = self.conn.as_mut().expect("dialled above");
+        if self.unacked.len() >= WINDOW {
+            conn.await_acks(&mut self.unacked, budget)?;
+        }
+        conn.reader.get_ref().write_all(frame)?;
+        conn.sent += 1;
+        self.unacked.push_back(*frame);
+        Ok(())
+    }
+
+    /// Connects, announces `me`, and replays the unacknowledged frames.
+    fn dial(&self, me: NodeId, timeout: Duration) -> io::Result<Conn> {
+        let s = TcpStream::connect_timeout(&self.addr, timeout.max(Duration::from_millis(1)))?;
+        s.set_nodelay(true)?;
+        let hello: [u8; 4 + HELLO_LEN] = frame(KIND_HELLO, &[&(me as u32).to_le_bytes()]);
+        (&s).write_all(&hello)?;
+        for f in &self.unacked {
+            (&s).write_all(f)?;
+        }
+        Ok(Conn {
+            reader: BufReader::new(s),
+            sent: self.unacked.len() as u64,
+            timeout: None,
+        })
+    }
+}
+
+impl Conn {
+    /// Reads acks until the window has room and no whole ack is left in
+    /// the read buffer. Fails on a malformed ack or after `budget`.
+    fn await_acks(
+        &mut self,
+        unacked: &mut VecDeque<DataFrame>,
+        budget: Duration,
+    ) -> io::Result<()> {
+        if self.timeout != Some(budget) {
+            self.reader.get_ref().set_read_timeout(Some(budget))?;
+            self.timeout = Some(budget);
+        }
+        let deadline = Instant::now() + budget;
+        let mut buf = [0u8; MAX_LEN];
+        loop {
+            if read_frame(&mut self.reader, &mut buf)? != KIND_ACK {
+                return Err(invalid("expected ACK"));
+            }
+            let count = u64_at(&buf, 1);
+            let acked = self.sent - unacked.len() as u64;
+            if count < acked || count > self.sent {
+                return Err(invalid("ack count out of range"));
+            }
+            unacked.drain(..(count - acked) as usize);
+            if unacked.len() < WINDOW && self.reader.buffer().len() < 4 + ACK_LEN {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "ack deadline"));
+            }
+        }
     }
 }
 
@@ -125,18 +312,16 @@ impl MailState {
 /// One instance serves exactly one node (its `recv` mailbox is the node's
 /// own). Peers are dialled lazily on first send and re-dialled after any
 /// socket error, with pacing supplied by the caller's
-/// [`crate::policy::RetryPolicy`]
-/// windows; [`TcpTransport::set_peer`] re-points a peer at a new address
-/// (process restart) and invalidates the cached connection.
+/// [`crate::policy::RetryPolicy`] windows; [`TcpTransport::set_peer`]
+/// re-points a peer at a new address (process restart). Sends are
+/// serialised: one holds the peer table for its whole attempt.
 pub struct TcpTransport {
     node: NodeId,
     cfg: TcpConfig,
     listener_addr: SocketAddr,
-    /// Where each peer currently listens; `set_peer` updates this.
-    peers: Mutex<HashMap<NodeId, SocketAddr>>,
-    /// Cached outbound connections, one per peer.
-    conns: Mutex<HashMap<NodeId, TcpStream>>,
-    mail: Arc<(Mutex<MailState>, Condvar)>,
+    /// Each peer's address, connection and replay frames.
+    peers: Mutex<HashMap<NodeId, Peer>>,
+    mail: Mail,
     /// Virtual clock mirrored by the wall: reset each trial, advanced by
     /// elapsed wall time on every blocking operation.
     vclock: AtomicU64,
@@ -155,26 +340,18 @@ impl TcpTransport {
     pub fn with_config(node: NodeId, cfg: TcpConfig) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let listener_addr = listener.local_addr()?;
-        let mail = Arc::new((
-            Mutex::new(MailState {
-                epoch: 0,
-                by_epoch: HashMap::new(),
-                seen: HashMap::new(),
-            }),
-            Condvar::new(),
-        ));
+        let mail: Mail = Arc::new((Mutex::new(MailState::default()), Condvar::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
         {
             let mail = Arc::clone(&mail);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, mail, shutdown));
+            std::thread::spawn(move || acceptor_loop(listener, node, mail, shutdown));
         }
         Ok(TcpTransport {
             node,
             cfg,
             listener_addr,
             peers: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
             mail,
             vclock: AtomicU64::new(0),
             shutdown,
@@ -191,19 +368,23 @@ impl TcpTransport {
         self.node
     }
 
-    /// Points `node` at `addr`, dropping any cached connection to it (a
-    /// restarted process listens on a fresh port; the stale socket would
-    /// only ever yield resets).
+    /// Points `node` at `addr`. A new address (a restarted process listens
+    /// on a fresh port) drops the cached connection and its replay frames;
+    /// an unchanged one keeps both.
     pub fn set_peer(&self, node: NodeId, addr: SocketAddr) {
-        self.peers.lock().unwrap().insert(node, addr);
-        self.conns.lock().unwrap().remove(&node);
+        let mut peers = self.peers.lock().expect("peer table lock poisoned");
+        if peers.get(&node).is_none_or(|p| p.addr != addr) {
+            peers.insert(node, Peer::new(addr));
+        }
     }
 
     /// Forgets `node` entirely (peer leave): sends to it fail fast as
     /// [`SendOutcome::Lost`] until a new address is installed.
     pub fn clear_peer(&self, node: NodeId) {
-        self.peers.lock().unwrap().remove(&node);
-        self.conns.lock().unwrap().remove(&node);
+        self.peers
+            .lock()
+            .expect("peer table lock poisoned")
+            .remove(&node);
     }
 
     /// Jumps the trial epoch (e.g. to the batch's global trial index after a
@@ -211,16 +392,14 @@ impl TcpTransport {
     /// epoch become visible; everything older is pruned.
     pub fn set_epoch(&self, epoch: u64) {
         let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
-        mail.epoch = epoch;
-        mail.prune();
+        lock.lock().expect("mailbox lock poisoned").set_epoch(epoch);
         self.vclock.store(0, Ordering::Relaxed);
         cvar.notify_all();
     }
 
     /// The current trial epoch.
     pub fn epoch(&self) -> u64 {
-        self.mail.0.lock().unwrap().epoch
+        self.mail.0.lock().expect("mailbox lock poisoned").epoch
     }
 
     fn advance_vclock(&self, start: Instant) -> VTime {
@@ -233,59 +412,29 @@ impl TcpTransport {
         v
     }
 
-    /// One send attempt: dial if needed, write the frame, await its ack.
-    /// Any failure tears down the cached connection and returns `Err`.
+    /// One send attempt into `env.dst`'s window. Any failure drops the
+    /// connection (keeping its replay frames) and returns `Err`.
     fn try_send(&self, env: &Envelope, epoch: u64, budget: Duration) -> io::Result<()> {
-        let deadline = Instant::now() + budget;
-        let mut stream = {
-            let cached = self.conns.lock().unwrap().remove(&env.dst);
-            match cached {
-                Some(s) => s,
-                None => {
-                    let addr = self.peers.lock().unwrap().get(&env.dst).copied();
-                    let addr = addr.ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::NotFound, "peer address unknown")
-                    })?;
-                    let timeout = self.cfg.connect_timeout.min(budget);
-                    let s =
-                        TcpStream::connect_timeout(&addr, timeout.max(Duration::from_millis(1)))?;
-                    s.set_nodelay(true)?;
-                    let mut hello = Vec::with_capacity(9);
-                    hello.push(KIND_HELLO);
-                    hello.extend_from_slice(&(self.node as u32).to_le_bytes());
-                    write_frame(&mut &s, &hello)?;
-                    s
-                }
-            }
-        };
-        let mut data = Vec::with_capacity(33);
-        data.push(KIND_DATA);
-        data.extend_from_slice(&epoch.to_le_bytes());
-        data.extend_from_slice(&(env.src as u32).to_le_bytes());
-        data.extend_from_slice(&(env.dst as u32).to_le_bytes());
-        data.extend_from_slice(&env.seq.to_le_bytes());
-        data.extend_from_slice(&env.attempt.to_le_bytes());
-        data.extend_from_slice(&env.payload.to_le_bytes());
-        write_frame(&mut &stream, &data)?;
-        // Await the ack for exactly this (epoch, seq); stale acks of earlier
-        // timed-out attempts may still be queued on the stream — skip them.
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(io::Error::new(io::ErrorKind::TimedOut, "ack deadline"));
-            }
-            stream.set_read_timeout(Some(left))?;
-            let frame = read_frame(&mut stream)?;
-            if frame.first() != Some(&KIND_ACK) || frame.len() < 13 {
-                continue;
-            }
-            let ack_epoch = u64::from_le_bytes(frame[1..9].try_into().unwrap());
-            let ack_seq = u32::from_le_bytes(frame[9..13].try_into().unwrap());
-            if ack_epoch == epoch && ack_seq == env.seq {
-                self.conns.lock().unwrap().insert(env.dst, stream);
-                return Ok(());
-            }
+        let data: DataFrame = frame(
+            KIND_DATA,
+            &[
+                &epoch.to_le_bytes(),
+                &(env.src as u32).to_le_bytes(),
+                &(env.dst as u32).to_le_bytes(),
+                &env.seq.to_le_bytes(),
+                &env.attempt.to_le_bytes(),
+                &env.payload.to_le_bytes(),
+            ],
+        );
+        let mut peers = self.peers.lock().expect("peer table lock poisoned");
+        let peer = peers
+            .get_mut(&env.dst)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer address unknown"))?;
+        let sent = peer.send(self.node, &data, &self.cfg, budget);
+        if sent.is_err() {
+            peer.conn = None;
         }
+        sent
     }
 }
 
@@ -307,7 +456,6 @@ impl Transport for TcpTransport {
         match self.try_send(env, epoch, budget) {
             Ok(()) => SendOutcome::Acked(self.advance_vclock(start)),
             Err(_) => {
-                self.conns.lock().unwrap().remove(&env.dst);
                 // Consume the rest of the window so the caller's backoff
                 // schedule paces reconnection in wall time.
                 let left = budget.saturating_sub(start.elapsed());
@@ -327,42 +475,38 @@ impl Transport for TcpTransport {
         let budget = self.cfg.wall(deadline.saturating_sub(v));
         let wall_deadline = start + budget;
         let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
+        let mut mail = lock.lock().expect("mailbox lock poisoned");
         loop {
-            let epoch = mail.epoch;
-            if let Some(queue) = mail.by_epoch.get_mut(&epoch) {
-                if !queue.is_empty() {
-                    let env = queue.remove(0);
-                    drop(mail);
-                    return RecvOutcome::Delivered(env, self.advance_vclock(start));
-                }
+            if let Some(env) = mail.pop() {
+                drop(mail);
+                return RecvOutcome::Delivered(env, self.advance_vclock(start));
             }
             let left = wall_deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 self.advance_vclock(start);
                 return RecvOutcome::TimedOut;
             }
-            let (guard, _timeout) = cvar.wait_timeout(mail, left).unwrap();
+            let (guard, _timeout) = cvar
+                .wait_timeout(mail, left)
+                .expect("mailbox lock poisoned");
             mail = guard;
         }
     }
 
     fn begin_trial(&self, _salt: u64) {
         let (lock, cvar) = &*self.mail;
-        let mut mail = lock.lock().unwrap();
-        mail.epoch += 1;
-        mail.prune();
+        {
+            let mut mail = lock.lock().expect("mailbox lock poisoned");
+            let next = mail.epoch + 1;
+            mail.set_epoch(next);
+        }
         self.vclock.store(0, Ordering::Relaxed);
         cvar.notify_all();
     }
 }
 
 /// Accepts inbound connections and spawns one handler per peer connection.
-fn acceptor_loop(
-    listener: TcpListener,
-    mail: Arc<(Mutex<MailState>, Condvar)>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn acceptor_loop(listener: TcpListener, node: NodeId, mail: Mail, shutdown: Arc<AtomicBool>) {
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -370,75 +514,98 @@ fn acceptor_loop(
         let Ok(stream) = stream else { continue };
         let mail = Arc::clone(&mail);
         std::thread::spawn(move || {
-            let _ = handle_peer(stream, mail);
+            let _ = handle_peer(stream, node, mail);
         });
     }
 }
 
-/// Reads HELLO then DATA frames from one peer connection, acknowledging and
-/// delivering each; exits on any socket error (peer death ≡ EOF/reset).
-fn handle_peer(mut stream: TcpStream, mail: Arc<(Mutex<MailState>, Condvar)>) -> io::Result<()> {
+/// Reads HELLO then DATA frames from one peer connection, delivering those
+/// addressed to `node` and acking cumulatively; exits on any socket error
+/// (peer death ≡ EOF/reset) or malformed frame.
+fn handle_peer(stream: TcpStream, node: NodeId, mail: Mail) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let hello = read_frame(&mut stream)?;
-    if hello.first() != Some(&KIND_HELLO) || hello.len() < 5 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
+    let mut reader = BufReader::new(&stream);
+    let mut buf = [0u8; MAX_LEN];
+    if read_frame(&mut reader, &mut buf)? != KIND_HELLO {
+        return Err(invalid("expected HELLO"));
     }
+    let (mut received, mut acked) = (0u64, 0u64);
     loop {
-        let frame = read_frame(&mut stream)?;
-        if frame.first() != Some(&KIND_DATA) || frame.len() < 33 {
-            continue;
+        if read_frame(&mut reader, &mut buf)? != KIND_DATA {
+            return Err(invalid("expected DATA"));
         }
-        let epoch = u64::from_le_bytes(frame[1..9].try_into().unwrap());
+        received += 1;
+        let epoch = u64_at(&buf, 1);
         let env = Envelope {
-            src: u32::from_le_bytes(frame[9..13].try_into().unwrap()) as NodeId,
-            dst: u32::from_le_bytes(frame[13..17].try_into().unwrap()) as NodeId,
-            seq: u32::from_le_bytes(frame[17..21].try_into().unwrap()),
-            attempt: u32::from_le_bytes(frame[21..25].try_into().unwrap()),
-            payload: u64::from_le_bytes(frame[25..33].try_into().unwrap()),
+            src: u32_at(&buf, 9) as NodeId,
+            dst: u32_at(&buf, 13) as NodeId,
+            seq: u32_at(&buf, 17),
+            attempt: u32_at(&buf, 21),
+            payload: u64_at(&buf, 25),
         };
-        {
+        // Stale frames are dropped by `push` but still counted in the ack,
+        // so a lagging sender completes instead of retrying forever.
+        if env.dst == node {
             let (lock, cvar) = &*mail;
-            let mut state = lock.lock().unwrap();
-            // Stale frames (epoch already finished/abandoned here) are
-            // dropped but still acknowledged below, so a lagging sender
-            // completes instead of retrying forever.
-            if epoch >= state.epoch {
-                let seen = state.seen.entry(epoch).or_default();
-                if !seen.contains(&(env.src, env.seq)) {
-                    seen.push((env.src, env.seq));
-                    state.by_epoch.entry(epoch).or_default().push(env);
-                    cvar.notify_all();
-                }
+            if lock.lock().expect("mailbox lock poisoned").push(epoch, env) {
+                cvar.notify_all();
             }
         }
-        let mut ack = Vec::with_capacity(13);
-        ack.push(KIND_ACK);
-        ack.extend_from_slice(&epoch.to_le_bytes());
-        ack.extend_from_slice(&env.seq.to_le_bytes());
-        write_frame(&mut &stream, &ack)?;
+        if reader.buffer().is_empty() || received - acked >= ACK_EVERY {
+            let ack: [u8; 4 + ACK_LEN] = frame(KIND_ACK, &[&received.to_le_bytes()]);
+            (&stream).write_all(&ack)?;
+            acked = received;
+        }
     }
 }
 
-fn write_frame(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = body.len() as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+/// Lays out a whole frame of `N` bytes: length prefix, `kind`, `fields`.
+fn frame<const N: usize>(kind: u8, fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out[..4].copy_from_slice(&((N - 4) as u32).to_le_bytes());
+    out[4] = kind;
+    let mut at = 5;
+    for f in fields {
+        out[at..at + f.len()].copy_from_slice(f);
+        at += f.len();
+    }
+    debug_assert_eq!(at, N, "frame fields must fill the frame");
+    out
 }
 
-fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
+/// Reads one frame's kind and body into `buf` and returns the kind. A
+/// frame whose length is not the one legal length of a known kind is
+/// `InvalidData`.
+fn read_frame(r: &mut impl Read, buf: &mut [u8; MAX_LEN]) -> io::Result<u8> {
     let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
+    r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
-    if len > 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized frame",
-        ));
+    if len == 0 || len > MAX_LEN {
+        return Err(invalid("frame length out of range"));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
+    r.read_exact(&mut buf[..len])?;
+    let legal = match buf[0] {
+        KIND_HELLO => HELLO_LEN,
+        KIND_DATA => DATA_LEN,
+        KIND_ACK => ACK_LEN,
+        _ => return Err(invalid("unknown frame kind")),
+    };
+    if len != legal {
+        return Err(invalid("frame length does not match its kind"));
+    }
+    Ok(buf[0])
+}
+
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("four-byte slice"))
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("eight-byte slice"))
+}
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -463,6 +630,38 @@ mod tests {
         a.set_peer(1, b.local_addr());
         b.set_peer(0, a.local_addr());
         Some((a, b))
+    }
+
+    fn policy(base_timeout: VTime, max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            base_timeout,
+            max_attempts,
+            jitter: 0.0,
+        }
+    }
+
+    /// Accepts one connection on a fake peer, with a read timeout so a
+    /// missing frame fails the test instead of hanging it.
+    fn accept(fake: &TcpListener) -> TcpStream {
+        let (s, _) = fake.accept().expect("accept");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s
+    }
+
+    /// Reads one raw frame (length prefix stripped) from a fake peer's
+    /// side of a connection.
+    fn raw_frame(s: &mut impl Read) -> Vec<u8> {
+        let mut len = [0u8; 4];
+        s.read_exact(&mut len).expect("frame length");
+        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        s.read_exact(&mut body).expect("frame body");
+        body
+    }
+
+    /// `(seq, attempt)` of a raw `DATA` frame body.
+    fn data_ids(body: &[u8]) -> (u32, u32) {
+        assert_eq!((body[0], body.len()), (KIND_DATA, DATA_LEN));
+        (u32_at(body, 17), u32_at(body, 21))
     }
 
     #[test]
@@ -503,7 +702,7 @@ mod tests {
         let Some((a, b)) = pair() else { return };
         a.set_epoch(3);
         b.set_epoch(8);
-        // Stale: acked (sender completes) but never delivered.
+        // Stale: accepted (sender completes) but never delivered.
         assert!(matches!(
             a.send(0, &env(0, 1, 0, 1), 1 << 20),
             SendOutcome::Acked(_)
@@ -517,6 +716,21 @@ mod tests {
         e.attempt = 1;
         assert!(matches!(a.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
         assert!(matches!(b.recv(1, 1 << 20), RecvOutcome::Delivered(_, _)));
+        assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
+    }
+
+    #[test]
+    fn stale_frames_still_clear_the_window() {
+        let Some((a, b)) = pair() else { return };
+        a.set_epoch(1);
+        b.set_epoch(100);
+        // Three windows of stale frames: each full window needs acks.
+        for seq in 0..3 * WINDOW as u32 {
+            assert!(matches!(
+                a.send(0, &env(0, 1, seq, 0), 1 << 20),
+                SendOutcome::Acked(_)
+            ));
+        }
         assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
     }
 
@@ -538,37 +752,302 @@ mod tests {
         b2.set_peer(0, a.local_addr());
         b2.set_epoch(1);
         a.set_peer(1, b2.local_addr());
-        // The shared RetryPolicy drives the reconnect: the cached socket is
-        // gone, so robust_send dials the new address.
-        let policy = RetryPolicy {
-            base_timeout: 1 << 14,
-            max_attempts: 4,
-            jitter: 0.0,
-        };
+        // The new address dropped the cached socket, so robust_send dials
+        // the new listener under the shared RetryPolicy.
         let mut clock: VTime = 0;
-        let sent = robust_send(&a, &policy, 0xABCD, &mut clock, env(0, 1, 1, 6));
+        let sent = robust_send(&a, &policy(1 << 14, 4), 0xABCD, &mut clock, env(0, 1, 1, 6));
         assert!(sent.is_ok(), "reconnect failed: {sent:?}");
         let RecvOutcome::Delivered(e, _) = b2.recv(1, 1 << 20) else {
             panic!("expected delivery on rebound listener");
         };
         assert_eq!(e.payload, 6);
+        // The old address's replay frame went with its connection.
+        assert_eq!(b2.recv(1, 1), RecvOutcome::TimedOut);
     }
 
     #[test]
     fn dead_peer_exhausts_retries_with_fault_cause() {
         let Some((a, b)) = pair() else { return };
         a.set_epoch(1);
-        drop(b); // peer gone, no restart
-        let policy = RetryPolicy {
-            base_timeout: 1 << 10,
-            max_attempts: 2,
-            jitter: 0.0,
-        };
+        // Peer gone, no restart. Its listener may still take the first dial
+        // into its backlog, so early sends can enter the window; but once
+        // the dial is refused or the window fills unacknowledged, the retry
+        // budget runs out.
+        drop(b);
+        let policy = policy(1 << 10, 2);
         let mut clock: VTime = 0;
-        let err = robust_send(&a, &policy, 1, &mut clock, env(0, 1, 0, 3));
+        let err = (0..=WINDOW as u32)
+            .map(|seq| robust_send(&a, &policy, 1, &mut clock, env(0, 1, seq, 3)))
+            .find(Result::is_err)
+            .expect("a dead peer must exhaust the retry budget by the time the window fills");
         assert!(matches!(
             err,
             Err(FaultCause::RetriesExhausted { to: 1, .. })
         ));
+    }
+
+    #[test]
+    fn silent_peer_exhausts_retries_once_the_window_fills() {
+        let Ok(a) = TcpTransport::bind(0) else { return };
+        let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
+        a.set_peer(1, fake.local_addr().unwrap());
+        a.set_epoch(1);
+        // The fake peer's backlog accepts the dials; nothing ever acks.
+        let policy = policy(1 << 10, 2);
+        let mut clock: VTime = 0;
+        for seq in 0..WINDOW as u32 {
+            let sent = robust_send(&a, &policy, 1, &mut clock, env(0, 1, seq, 0));
+            assert_eq!(sent, Ok(1), "send {seq} fits the window");
+        }
+        let err = robust_send(&a, &policy, 1, &mut clock, env(0, 1, WINDOW as u32, 0));
+        assert!(matches!(
+            err,
+            Err(FaultCause::RetriesExhausted { to: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn reconnect_replays_unacked_frames_then_the_new_one() {
+        let Some((a, b)) = pair() else { return };
+        a.set_epoch(1);
+        b.set_epoch(1);
+        let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
+        a.set_peer(1, fake.local_addr().unwrap());
+        for seq in 0..3 {
+            assert!(matches!(
+                a.send(0, &env(0, 1, seq, 10 + seq as u64), 1 << 20),
+                SendOutcome::Acked(_)
+            ));
+        }
+        // First connection: HELLO + three frames, then the peer hangs up
+        // without acking any of them.
+        let mut c1 = accept(&fake);
+        let mut first = vec![raw_frame(&mut c1)];
+        for seq in 0..3 {
+            let f = raw_frame(&mut c1);
+            assert_eq!(data_ids(&f), (seq, 0));
+            first.push(f);
+        }
+        drop(c1);
+        // Sends keep entering the window until a write fails on the dead
+        // connection; the retry then redials the same address.
+        let policy = policy(1 << 12, 3);
+        let mut clock: VTime = 0;
+        let mut seq = 3;
+        loop {
+            let attempts = robust_send(&a, &policy, 7, &mut clock, env(0, 1, seq, 10 + seq as u64))
+                .expect("the fake peer's backlog takes the redial");
+            if attempts > 1 {
+                break;
+            }
+            seq += 1;
+            assert!(
+                seq < WINDOW as u32,
+                "the dead connection never failed a write"
+            );
+            // Give the peer's reset time to land.
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Second connection: HELLO, every unacked frame in order, then the
+        // frame whose first attempt failed, as its retransmission.
+        let mut c2 = accept(&fake);
+        let hello = raw_frame(&mut c2);
+        assert_eq!(hello, first[0]);
+        let mut second = vec![hello];
+        for want in 0..seq {
+            let f = raw_frame(&mut c2);
+            assert_eq!(data_ids(&f).0, want);
+            second.push(f);
+        }
+        let last = raw_frame(&mut c2);
+        assert_eq!(data_ids(&last), (seq, 1));
+        second.push(last);
+        // A real receiver fed both connections' bytes delivers each
+        // (epoch, src, seq) once, in order. The streams stay open until the
+        // deliveries are checked.
+        let mut feeds = Vec::new();
+        for conn in [&first, &second] {
+            let mut s = TcpStream::connect(b.local_addr()).expect("dial b");
+            for f in conn.iter() {
+                s.write_all(&(f.len() as u32).to_le_bytes()).unwrap();
+                s.write_all(f).unwrap();
+            }
+            feeds.push(s);
+        }
+        for want in 0..=seq {
+            let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
+                panic!("expected delivery of seq {want}");
+            };
+            assert_eq!((e.seq, e.payload), (want, 10 + want as u64));
+        }
+        assert_eq!(b.recv(1, 1 << 8), RecvOutcome::TimedOut);
+    }
+
+    #[test]
+    fn future_epochs_deliver_in_order_as_the_epoch_advances() {
+        let Some((a, b)) = pair() else { return };
+        let Ok(c) = TcpTransport::bind(2) else { return };
+        c.set_peer(1, b.local_addr());
+        b.set_epoch(1);
+        // 10 000 future-epoch frames: `a` walks epochs up, `c` walks them
+        // down, so `b` must order what it buffers.
+        const EPOCHS: u64 = 5_000;
+        for i in 0..EPOCHS {
+            for (t, epoch) in [(&a, 2 + i), (&c, 1 + EPOCHS - i)] {
+                t.set_epoch(epoch);
+                let e = env(t.node(), 1, 0, epoch);
+                assert!(matches!(t.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
+            }
+        }
+        for epoch in 2..2 + EPOCHS {
+            b.set_epoch(epoch);
+            let mut srcs = Vec::new();
+            for _ in 0..2 {
+                let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
+                    panic!("expected delivery at epoch {epoch}");
+                };
+                assert_eq!(e.payload, epoch);
+                srcs.push(e.src);
+            }
+            srcs.sort_unstable();
+            assert_eq!(srcs, [0, 2]);
+        }
+        assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
+    }
+
+    #[test]
+    fn set_peer_redials_only_when_the_address_changes() {
+        let Ok(a) = TcpTransport::bind(0) else { return };
+        a.set_epoch(1);
+        let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
+        let other = TcpListener::bind(("127.0.0.1", 0)).expect("second fake peer");
+        let (addr, other_addr) = (fake.local_addr().unwrap(), other.local_addr().unwrap());
+        let send = |seq: u32| {
+            let got = a.send(0, &env(0, 1, seq, 0), 1 << 20);
+            assert!(matches!(got, SendOutcome::Acked(_)));
+        };
+        a.set_peer(1, addr);
+        send(0);
+        a.set_peer(1, addr);
+        send(1);
+        let mut c1 = accept(&fake);
+        raw_frame(&mut c1);
+        assert_eq!(data_ids(&raw_frame(&mut c1)).0, 0);
+        assert_eq!(data_ids(&raw_frame(&mut c1)).0, 1);
+        // A new address redials there, without the old replay frames.
+        a.set_peer(1, other_addr);
+        send(2);
+        let mut c2 = accept(&other);
+        raw_frame(&mut c2);
+        assert_eq!(data_ids(&raw_frame(&mut c2)).0, 2);
+        // Back to the first address: one more dial there, two in all.
+        a.set_peer(1, addr);
+        send(3);
+        accept(&fake);
+        fake.set_nonblocking(true).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            fake.accept().map(|_| ()).map_err(|e| e.kind()),
+            Err(io::ErrorKind::WouldBlock),
+            "an unchanged address must reuse its connection"
+        );
+    }
+
+    #[test]
+    fn malformed_frames_close_the_connection_and_deliver_nothing() {
+        let Some((a, b)) = pair() else { return };
+        a.set_epoch(1);
+        b.set_epoch(1);
+        let hello: [u8; 4 + HELLO_LEN] = frame(KIND_HELLO, &[&0u32.to_le_bytes()]);
+        let data = |dst: u32| -> DataFrame {
+            frame(
+                KIND_DATA,
+                &[
+                    &1u64.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &dst.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &5u64.to_le_bytes(),
+                ],
+            )
+        };
+        let raw = |len: u32, body: &[u8]| -> Vec<u8> {
+            let mut v = len.to_le_bytes().to_vec();
+            v.extend_from_slice(body);
+            v
+        };
+        let with_hello = |rest: Vec<u8>| -> Vec<u8> { [hello.to_vec(), rest].concat() };
+        let mut short_data = data(1)[..24].to_vec();
+        short_data[..4].copy_from_slice(&20u32.to_le_bytes());
+        let mut unknown_kind = data(1);
+        unknown_kind[4] = 9;
+        let ack: [u8; 4 + ACK_LEN] = frame(KIND_ACK, &[&1u64.to_le_bytes()]);
+        /// What the receiver does with a case's bytes.
+        #[derive(PartialEq)]
+        enum Then {
+            Closes,
+            /// Closes once the half-closed stream ends mid-frame.
+            ClosesAtEof,
+            /// Drops the frame but counts it in its ack.
+            Acks,
+        }
+        let cases = [
+            ("no HELLO", data(1).to_vec(), Then::Closes),
+            ("zero length", with_hello(raw(0, &[])), Then::Closes),
+            (
+                "oversized length",
+                with_hello(raw(34, &[KIND_DATA; 34])),
+                Then::Closes,
+            ),
+            (
+                "huge length",
+                with_hello(raw(1 << 30, &[KIND_DATA])),
+                Then::Closes,
+            ),
+            ("short DATA", with_hello(short_data), Then::Closes),
+            (
+                "unknown kind",
+                with_hello(unknown_kind.to_vec()),
+                Then::Closes,
+            ),
+            ("ACK to a receiver", with_hello(ack.to_vec()), Then::Closes),
+            ("second HELLO", with_hello(hello.to_vec()), Then::Closes),
+            (
+                "truncated DATA",
+                with_hello(data(1)[..20].to_vec()),
+                Then::ClosesAtEof,
+            ),
+            ("wrong dst", with_hello(data(7).to_vec()), Then::Acks),
+        ];
+        for (name, bytes, then) in cases {
+            let mut s = TcpStream::connect(b.local_addr()).expect("dial b");
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(&bytes).unwrap();
+            if then == Then::Acks {
+                let ack = raw_frame(&mut s);
+                assert_eq!((ack[0], u64_at(&ack, 1)), (KIND_ACK, 1), "{name}");
+            } else {
+                if then == Then::ClosesAtEof {
+                    s.shutdown(std::net::Shutdown::Write).unwrap();
+                }
+                let mut byte = [0u8; 1];
+                match s.read(&mut byte) {
+                    Ok(0) => {}
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                    other => panic!("{name}: connection not closed: {other:?}"),
+                }
+            }
+            assert_eq!(b.recv(1, 1 << 8), RecvOutcome::TimedOut, "{name}");
+        }
+        // A well-formed peer is still served afterwards.
+        assert!(matches!(
+            a.send(0, &env(0, 1, 0, 42), 1 << 20),
+            SendOutcome::Acked(_)
+        ));
+        let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
+            panic!("expected delivery from a well-formed peer");
+        };
+        assert_eq!(e.payload, 42);
     }
 }
