@@ -862,7 +862,7 @@ fn hermitian_coeffs(m: &CMatrix, d: usize, out: &mut [f64]) {
 
 /// Batched sampler for per-node mixed proofs; built by
 /// [`SwapTestChain::mixed_sampler`]. Carries one compiled
-/// [`MixedNodeOps`] per node — the frontier walk's per-node linear algebra
+/// `MixedNodeOps` per node — the frontier walk's per-node linear algebra
 /// collapsed onto the Hermitian-basis coordinates of the `d × d` sent
 /// register, with the pre-symmetrised pair (the deterministic ½ρ+½SρS†
 /// channel commutes with the frontier assembly) baked into the operators —
@@ -961,13 +961,10 @@ impl BatchSampler for MixedChainSampler<'_> {
     }
 
     fn sample_block(&self, trials: u64, scratch: &mut MixedChainScratch, stream: &BlockRng) -> u64 {
-        // Sequential per-block stream: the frontier walk is inherently
-        // trial-at-a-time (a variable number of draws per round), and the
-        // legacy stream keeps mixed accept counts bit-stable across the
-        // engine's lane-batching restructure.
-        let mut rng = stream.block_rng();
+        // The frontier walk is trial-at-a-time (a variable number of draws
+        // per round), each trial on its own counter stream.
         (0..trials)
-            .filter(|_| self.round(scratch, &mut rng))
+            .filter(|&t| self.round(scratch, &mut stream.trial_rng(t)))
             .count() as u64
     }
 }

@@ -18,19 +18,16 @@
 //! - [`ChurnSchedule`] — seeded kill/leave/join/reprogram events at trial
 //!   offsets of the virtual timeline, so peer churn is reproducible.
 //!
-//! # RNG stream alignment
+//! # RNG addressing
 //!
-//! The sequential driver threads a single block stream through all nodes:
-//! per trial, word 0 is the fault salt, then each scheduled node consumes
-//! exactly [`RoundProgram::fault_free_draws`] words in schedule order. A
-//! node process reconstructs the same stream with [`stream_rng`] and
-//! *skips* every other node's words, so on the fault-free path the fleet's
-//! decisions, message counts and transcript digest are bit-identical to
-//! [`crate::net::sample_transport_rounds`] with a quiet fault plan. A
-//! faulted trial leaves a node's consumption unknown; the node then
-//! re-derives the stream from scratch at the next trial boundary
-//! (`words-per-trial × trial-index` is an absolute position, so a single
-//! faulted trial never desynchronises the rest of the block).
+//! Every draw of a transport trial has an address: the trial's fault salt
+//! and each node's stream come from
+//! [`BlockRng::trial`]`(t)`, pure functions of `(seed, block, trial, node)`.
+//! A node process opens its own stream for trial `t` directly — it never
+//! replays another node's draws, and a faulted trial cannot shift any later
+//! trial's draws. So on the fault-free path the fleet's decisions, message
+//! counts and transcript digest are bit-identical to
+//! [`crate::net::sample_transport_rounds`] with a quiet fault plan.
 //!
 //! # Epochs
 //!
@@ -52,14 +49,12 @@ use std::time::{Duration, Instant};
 use netsim::tcp::{TcpConfig, TcpTransport};
 use netsim::transport::{FaultCause, NodeId, Transport};
 use netsim::RetryPolicy;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::chain::ChainRoundPlan;
 use crate::net::{
     mix, run_single_node, ChainNetProgram, RelayNetProgram, RoundProgram, TreeNetProgram, TreeRole,
 };
-use crate::trials::{block_len, stream_rng, BlockOutcomes, BLOCK_TRIALS};
+use crate::trials::{block_len, BlockOutcomes, BlockRng, BLOCK_TRIALS};
 
 // ---------------------------------------------------------------------------
 // Program specs: wire-encodable round programs
@@ -145,14 +140,6 @@ impl RoundProgram for AnyProgram {
             AnyProgram::Chain(p) => p.run_node(node, io),
             AnyProgram::Relay(p) => p.run_node(node, io),
             AnyProgram::Tree(p) => p.run_node(node, io),
-        }
-    }
-
-    fn fault_free_draws(&self, node: NodeId) -> u64 {
-        match self {
-            AnyProgram::Chain(p) => p.fault_free_draws(node),
-            AnyProgram::Relay(p) => p.fault_free_draws(node),
-            AnyProgram::Tree(p) => p.fault_free_draws(node),
         }
     }
 }
@@ -465,96 +452,6 @@ impl ProgramSpec {
 }
 
 // ---------------------------------------------------------------------------
-// RNG stream cursor
-// ---------------------------------------------------------------------------
-
-/// A position-tracking view of one block's RNG stream
-/// ([`stream_rng`]`(seed, block)`).
-///
-/// `seek` replays the generator forward to an absolute word index,
-/// rebuilding from the seed when the target lies behind the current
-/// position (or after [`StreamCursor::poison`], which marks the position
-/// unknown following a faulted trial).
-struct StreamCursor {
-    seed: u64,
-    block: u64,
-    rng: StdRng,
-    pos: u64,
-}
-
-impl StreamCursor {
-    fn new(seed: u64, block: u64) -> Self {
-        StreamCursor {
-            seed,
-            block,
-            rng: stream_rng(seed, block),
-            pos: 0,
-        }
-    }
-
-    fn seek(&mut self, target: u64) {
-        if self.pos > target {
-            self.rng = stream_rng(self.seed, self.block);
-            self.pos = 0;
-        }
-        while self.pos < target {
-            let _ = self.rng.random::<u64>();
-            self.pos += 1;
-        }
-    }
-
-    fn word(&mut self) -> u64 {
-        self.pos += 1;
-        self.rng.random::<u64>()
-    }
-
-    fn skip(&mut self, n: u64) {
-        for _ in 0..n {
-            let _ = self.rng.random::<u64>();
-        }
-        self.pos += n;
-    }
-
-    /// The underlying generator, for handing to an executor that consumes
-    /// words directly; pair with [`StreamCursor::advance`] (known
-    /// consumption) or [`StreamCursor::poison`] (unknown).
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn advance(&mut self, n: u64) {
-        self.pos += n;
-    }
-
-    fn poison(&mut self) {
-        self.pos = u64::MAX;
-    }
-}
-
-/// Words one trial occupies in the block stream: the fault salt plus every
-/// scheduled node's fault-free draws. All processes derive this from the
-/// same [`ProgramSpec`], so absolute positions agree fleet-wide.
-fn words_per_trial<P: RoundProgram + ?Sized>(program: &P) -> u64 {
-    1 + program
-        .schedule()
-        .iter()
-        .map(|&v| program.fault_free_draws(v))
-        .sum::<u64>()
-}
-
-/// Stream words consumed by the nodes scheduled strictly before `me`.
-fn prefix_draws<P: RoundProgram + ?Sized>(program: &P, me: NodeId) -> u64 {
-    let mut sum = 0;
-    for &v in program.schedule() {
-        if v == me {
-            break;
-        }
-        sum += program.fault_free_draws(v);
-    }
-    sum
-}
-
-// ---------------------------------------------------------------------------
 // Node process
 // ---------------------------------------------------------------------------
 
@@ -776,10 +673,7 @@ fn run_batch(
     base: u64,
 ) -> io::Result<()> {
     let me = cfg.node;
-    let wpt = words_per_trial(program);
-    let prefix = prefix_draws(program, me);
-    let own = program.fault_free_draws(me);
-    let mut cursor = StreamCursor::new(seed, block);
+    let stream = BlockRng::new(seed, block);
     let mut out = String::new();
     let mut done = 0u64;
     let mut stop = false;
@@ -798,17 +692,10 @@ fn run_batch(
             break;
         }
         let t = first + i;
-        cursor.seek(t * wpt);
-        let salt = cursor.word();
-        cursor.skip(prefix);
         let g = block * BLOCK_TRIALS + t;
         transport.set_epoch(base + g + 1);
         let (decision, _vtime, stats) =
-            run_single_node(program, me, transport, &cfg.policy, salt, cursor.rng());
-        match &decision {
-            Ok(_) => cursor.advance(own),
-            Err(_) => cursor.poison(),
-        }
+            run_single_node(program, me, transport, &cfg.policy, stream.trial(t));
         let code = match &decision {
             Ok(true) => "a".to_string(),
             Ok(false) => "r".to_string(),
@@ -1352,8 +1239,8 @@ impl Cluster {
 
     /// Fault-injection hook: makes `node` stop responding to control
     /// lines for `dur` without killing its process — the hung-node shape
-    /// (as opposed to a crash, which the reader thread reports as
-    /// [`NodeMsg::Dead`]). The batch-deadline regression test drives this;
+    /// (as opposed to a crash, which the reader thread reports as a dead
+    /// control connection). The batch-deadline regression test drives this;
     /// production code has no reason to call it.
     pub fn inject_stall(&mut self, node: NodeId, dur: Duration) {
         self.send_line(node, &format!("stall {}", dur.as_millis()));
@@ -1416,7 +1303,7 @@ impl Cluster {
         self.next_epoch_base = base + nblocks * BLOCK_TRIALS + 1;
         for b in 0..nblocks {
             let len = block_len(n, nblocks, b);
-            let mut salt_cursor = StreamCursor::new(seed, b);
+            let stream = BlockRng::new(seed, b);
             let mut first = 0u64;
             while first < len {
                 let g0 = b * BLOCK_TRIALS + first;
@@ -1446,7 +1333,6 @@ impl Cluster {
                 if let Some(next_at) = events.front().map(ChurnEvent::at_trial) {
                     count = count.min(next_at - g0);
                 }
-                let wpt = words_per_trial(&self.program);
                 let line = format!("run {seed} {b} {first} {count} {base}");
                 let targets: Vec<NodeId> = (0..self.num_nodes)
                     .filter(|&v| self.slots[v].alive)
@@ -1460,7 +1346,7 @@ impl Cluster {
                     self.kill_process(v);
                 }
                 let got = self.collect_batch(&targets, b, first)?;
-                self.fold_batch(&mut outcomes, &mut salt_cursor, wpt, first, count, &got);
+                self.fold_batch(&mut outcomes, &stream, first, count, &got);
                 // Recover the dead (except deliberate departures) before
                 // the next batch.
                 let dead: Vec<NodeId> = (0..self.num_nodes)
@@ -1578,15 +1464,13 @@ impl Cluster {
     fn fold_batch(
         &self,
         outcomes: &mut BlockOutcomes,
-        salt_cursor: &mut StreamCursor,
-        wpt: u64,
+        stream: &BlockRng,
         first: u64,
         count: u64,
         got: &HashMap<NodeId, HashMap<u64, TrialLine>>,
     ) {
         for t in first..first + count {
-            salt_cursor.seek(t * wpt);
-            let salt = salt_cursor.word();
+            let salt = stream.trial(t).salt();
             let mut digest = 0u64;
             let mut fault = false;
             let mut reject = false;
@@ -1607,9 +1491,6 @@ impl Cluster {
                 }
             }
             if fault || missing {
-                if std::env::var_os("DQMA_CLUSTER_DEBUG").is_some() {
-                    eprintln!("[cluster] trial {t}: abort (fault={fault} missing={missing})");
-                }
                 outcomes.aborts += 1;
             } else if reject {
                 outcomes.rejects += 1;
@@ -1668,9 +1549,8 @@ mod tests {
     use commproto::bitstring::BitString;
     use commproto::fingerprint::FingerprintScheme;
     use netsim::topology::{spider, spider_leaf};
-    use netsim::transport::ChannelTransport;
-    use netsim::RoundOutcome;
-    use rand::SeedableRng;
+    use netsim::{FaultPlan, FaultyTransport, LocalChannelTransport, RoundOutcome, Transport};
+    use rand::RngCore;
 
     fn chain_program(equal: bool) -> ChainNetProgram {
         let protocol = EqPathProtocol::with_scheme(4, FingerprintScheme::small(6, 7), 8);
@@ -1747,82 +1627,87 @@ mod tests {
         assert_eq!(back.num_nodes(), program.num_nodes());
         assert_eq!(back.schedule(), program.schedule());
         // Spot-check decisions: run both programs over a fault-free
-        // transport from the same stream.
-        let transport = ChannelTransport::poll(program.num_nodes());
+        // transport under the same trial coordinates.
+        let transport = LocalChannelTransport::poll(program.num_nodes());
         let policy = RetryPolicy::default();
-        for salt in 0..32u64 {
-            let mut r1 = StdRng::seed_from_u64(salt);
-            let mut r2 = StdRng::seed_from_u64(salt);
-            let (o1, s1) = run_round(&program, &transport, &policy, salt, &mut r1);
-            let (o2, s2) = run_round(&back, &transport, &policy, salt, &mut r2);
+        let stream = BlockRng::new(0x7EE, 0);
+        for t in 0..32u64 {
+            let (o1, s1) = run_round(&program, &transport, &policy, stream.trial(t));
+            let (o2, s2) = run_round(&back, &transport, &policy, stream.trial(t));
             assert_eq!(format!("{o1:?}"), format!("{o2:?}"));
             assert_eq!(s1.digest, s2.digest);
         }
     }
 
-    /// The cross-process alignment contract, exercised without sockets:
-    /// running each node separately against its own cursor-positioned
-    /// slice of the block stream reproduces the sequential driver's
-    /// decisions, message counts and digest bit-for-bit.
+    /// Outcome kind of a round, without the fault report's details.
+    fn kind(outcome: &RoundOutcome) -> &'static str {
+        match outcome {
+            RoundOutcome::Accept => "accept",
+            RoundOutcome::Reject => "reject",
+            RoundOutcome::Aborted(_) => "abort",
+        }
+    }
+
+    /// The addressing contract the TCP fleet relies on, exercised without
+    /// sockets: every node of a trial, run alone through
+    /// [`run_single_node`], reproduces [`run_round`]'s outcome kind, message
+    /// count and digest for that trial — under faults, with trials visited
+    /// in reverse order, so no trial depends on what earlier trials drew.
     #[test]
-    fn split_streams_match_sequential_driver() {
-        for program in [chain_program(true), chain_program(false)] {
+    fn per_node_replay_matches_run_round_in_any_trial_order_under_faults() {
+        let programs = [
+            AnyProgram::Chain(chain_program(false)),
+            AnyProgram::Relay(relay_program()),
+            AnyProgram::Tree(tree_program()),
+        ];
+        let plan = FaultPlan::with_drop(0.3);
+        // With two attempts per message, a 0.3 drop rate exhausts some
+        // budgets: both faulted and clean trials occur.
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let stream = BlockRng::new(0xD15C0, 3);
+        for program in &programs {
             let n = program.num_nodes();
-            let wpt = words_per_trial(&program);
-            let policy = RetryPolicy::default();
-            let seed = 0xD15C0;
-
-            // Sequential reference: one stream threads through all nodes.
-            let mut seq_rng = stream_rng(seed, 0);
-            let transport = ChannelTransport::poll(n);
-            let mut reference = Vec::new();
-            for _ in 0..24 {
-                let salt = seq_rng.random::<u64>();
-                let (outcome, stats) = run_round(&program, &transport, &policy, salt, &mut seq_rng);
-                reference.push((salt, format!("{outcome:?}"), stats.sent, stats.digest));
-            }
-
-            // Split replay: every node owns a cursor into the same block
-            // stream and skips the other nodes' words.
-            let transport = ChannelTransport::poll(n);
-            let mut cursors: Vec<StreamCursor> =
-                (0..n).map(|_| StreamCursor::new(seed, 0)).collect();
-            for (t, (ref_salt, ref_outcome, ref_sent, ref_digest)) in reference.iter().enumerate() {
-                transport.begin_trial(*ref_salt);
-                let mut all_accept = true;
-                let mut fault = false;
-                let mut sent = 0;
-                let mut digest = 0u64;
+            let transport = FaultyTransport::new(LocalChannelTransport::poll(n), plan.clone());
+            let trials = 64u64;
+            let reference: Vec<_> = (0..trials)
+                .map(|t| run_round(program, &transport, &policy, stream.trial(t)))
+                .collect();
+            let aborts = reference.iter().filter(|(o, _)| o.is_aborted()).count();
+            assert!(
+                aborts > 0 && aborts < trials as usize,
+                "need faulted and clean trials, got {aborts} aborts"
+            );
+            for t in (0..trials).rev() {
+                let trial = stream.trial(t);
+                transport.begin_trial(trial.salt());
+                let (mut fault, mut all_accept, mut sent, mut digest) = (false, true, 0, 0u64);
                 for &v in program.schedule() {
-                    let cursor = &mut cursors[v];
-                    cursor.seek(t as u64 * wpt);
-                    let salt = cursor.word();
-                    assert_eq!(salt, *ref_salt, "trial {t}: salt misaligned");
-                    cursor.skip(prefix_draws(&program, v));
                     let (decision, _, stats) =
-                        run_single_node(&program, v, &transport, &policy, salt, cursor.rng());
+                        run_single_node(program, v, &transport, &policy, trial);
                     match decision {
-                        Ok(accept) => {
-                            all_accept &= accept;
-                            cursor.advance(program.fault_free_draws(v));
-                        }
-                        Err(_) => {
-                            fault = true;
-                            cursor.poison();
-                        }
+                        Ok(accept) => all_accept &= accept,
+                        Err(_) => fault = true,
                     }
                     sent += stats.sent;
                     digest ^= stats.digest;
                 }
-                assert!(!fault, "trial {t}: fault-free replay must not fault");
-                let outcome = if all_accept {
-                    RoundOutcome::Accept
-                } else {
-                    RoundOutcome::Reject
+                let outcome = match (fault, all_accept) {
+                    (true, _) => "abort",
+                    (false, true) => "accept",
+                    (false, false) => "reject",
                 };
-                assert_eq!(&format!("{outcome:?}"), ref_outcome, "trial {t}");
-                assert_eq!(sent, *ref_sent, "trial {t}: message count");
-                assert_eq!(digest, *ref_digest, "trial {t}: digest");
+                let (ref_outcome, ref_stats) = &reference[t as usize];
+                assert_eq!(outcome, kind(ref_outcome), "trial {t}");
+                assert_eq!(sent, ref_stats.sent, "trial {t}: message count");
+                assert_eq!(digest, ref_stats.digest, "trial {t}: digest");
+                assert_ne!(
+                    trial.node_rng(1).next_u64(),
+                    trial.node_rng(2).next_u64(),
+                    "trial {t}: nodes must draw from distinct streams"
+                );
             }
         }
     }

@@ -14,12 +14,12 @@
 //! * a [`RoundProgram`] gives each network node a little script —
 //!   *receive the previous coin, flip your own, run your local test, forward
 //!   your coin* — driven through a [`NodeIo`] handle that hides sequencing,
-//!   retries and cost accounting;
+//!   retries, the node's RNG stream and cost accounting;
 //! * [`run_round`] executes the program over any transport on one thread (the
 //!   schedule is a topological order of the message dependencies, so a
-//!   poll-mode transport never blocks); [`run_round_threaded`] runs one
-//!   executor per node on the persistent [`qsim::pool`] workers against a
-//!   blocking transport;
+//!   poll-mode transport never blocks); [`run_single_node`] runs one node's
+//!   executor alone — the entry point of the one-process-per-node TCP fleet
+//!   in [`crate::cluster`], which is the concurrent executor;
 //! * faults degrade gracefully: an exhausted retry budget, a receive
 //!   timeout, a crashed node or a panicking executor all terminate the trial
 //!   as [`RoundOutcome::Aborted`] with a [`FaultReport`] carrying the partial
@@ -37,34 +37,33 @@
 //! `Bernoulli(p_v(c))` successes is `Bernoulli(Π_v p_v(c))` — identical to
 //! the single draw. Fault-free transport rounds therefore match the
 //! in-process samplers in distribution (asserted by the Hoeffding tests in
-//! `tests/integration_transport_rounds.rs`), though not bit-for-bit: the RNG
-//! consumption differs.
+//! `tests/integration_transport_rounds.rs`), though not bit-for-bit: the
+//! two consume different streams.
 //!
 //! # Determinism
 //!
-//! Each trial derives a fault salt from the block RNG stream, and every
-//! fault decision is a pure hash of `(salt, message identity)` — so a
+//! Each trial runs under a [`TrialStreams`] coordinate
+//! ([`crate::trials::BlockRng::trial`]): its fault salt and every node's
+//! RNG stream are pure functions of `(seed, block, trial, node)`, and every
+//! fault decision is a pure hash of `(salt, message identity)`. So a
 //! `(seed, FaultPlan)` pair reproduces the same accepts/rejects/aborts,
 //! message counts and transcript digest at *any* worker count, exactly like
-//! the accept counts of [`crate::trials`]. The sequential and pool-threaded
-//! drivers are each individually deterministic, but not bit-identical to one
-//! another (they consume RNG streams differently).
+//! the accept counts of [`crate::trials`] — and a node run alone draws
+//! exactly what it draws inside [`run_round`].
 
 use crate::chain::ChainRoundPlan;
 use crate::relay::RelayRoundPlan;
-use crate::trials::{self, BlockOutcomes, OutcomeReport, OutcomeSampler};
+use crate::trials::{self, BlockOutcomes, BlockRng, OutcomeReport, OutcomeSampler, TrialStreams};
 use netsim::transport::{robust_recv, robust_send};
 use netsim::{
-    ChannelTransport, CostTracker, Envelope, FaultCause, FaultPlan, FaultReport, FaultyTransport,
+    CostTracker, Envelope, FaultCause, FaultPlan, FaultReport, FaultyTransport,
     LocalChannelTransport, NodeId, ProtocolCosts, RetryPolicy, RoundOutcome, Transport, VTime,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qsim::random::CounterRng;
+use rand::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-use std::time::Duration;
 
-/// SplitMix64 finalizer: the digest and per-node seed mixer. (Same finalizer
+/// SplitMix64 finalizer: the per-trial digest mixer. (Same finalizer
 /// the transport layer uses for fault decisions; duplicated locally because
 /// the transcript digest is a consumer-side concern.)
 #[inline]
@@ -74,15 +73,6 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
-/// Golden-ratio stride for deriving per-node RNG streams in the threaded
-/// driver (the same constant `trials` uses for per-block streams).
-const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Wall-clock guard for a single blocking receive in the threaded driver: a
-/// lost message must not hang a pool worker (liveness only — all timeout
-/// *semantics* are virtual).
-const BLOCKING_RECV_GUARD: Duration = Duration::from_millis(200);
 
 /// Transmission statistics of one executed round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,25 +87,17 @@ pub struct RoundStats {
     pub digest: u64,
 }
 
-impl RoundStats {
-    /// Accumulates `other` (commutative).
-    fn merge(&mut self, other: &RoundStats) {
-        self.sent += other.sent;
-        self.retries += other.retries;
-        self.digest ^= other.digest;
-    }
-}
-
 /// Per-node I/O handle handed to [`RoundProgram::run_node`]: wraps a
 /// [`Transport`] with the robust send/receive layer, the node's virtual
 /// clock, its RNG stream and optional cost accounting.
 pub struct NodeIo<'a, T: Transport + ?Sized> {
     transport: &'a T,
     policy: &'a RetryPolicy,
+    trial: TrialStreams,
     salt: u64,
     node: NodeId,
     clock: VTime,
-    rng: &'a mut StdRng,
+    rng: CounterRng,
     next_seq: u32,
     message_qubits: u64,
     stats: RoundStats,
@@ -126,18 +108,19 @@ impl<'a, T: Transport + ?Sized> NodeIo<'a, T> {
     fn new(
         transport: &'a T,
         policy: &'a RetryPolicy,
-        salt: u64,
-        rng: &'a mut StdRng,
+        trial: TrialStreams,
         message_qubits: u64,
         costs: Option<&'a mut CostTracker>,
     ) -> Self {
         NodeIo {
             transport,
             policy,
-            salt,
+            trial,
+            salt: trial.salt(),
             node: 0,
             clock: 0,
-            rng,
+            // Re-keyed for each node by `begin_node`.
+            rng: trial.node_rng(0),
             next_seq: 0,
             message_qubits,
             stats: RoundStats::default(),
@@ -145,13 +128,15 @@ impl<'a, T: Transport + ?Sized> NodeIo<'a, T> {
         }
     }
 
-    /// Re-targets the handle at `node` for a fresh executor (the per-trial
-    /// accumulators — stats, cost tracker — carry across nodes). Reports the
-    /// node as crashed when the fault schedule has it down at round start.
+    /// Re-targets the handle at `node` for a fresh executor, opening the
+    /// node's own RNG stream (the per-trial accumulators — stats, cost
+    /// tracker — carry across nodes). Reports the node as crashed when the
+    /// fault schedule has it down at round start.
     fn begin_node(&mut self, node: NodeId) -> Result<(), FaultCause> {
         self.node = node;
         self.clock = 0;
         self.next_seq = 0;
+        self.rng = self.trial.node_rng(node);
         match self.transport.node_down_until(node, 0) {
             Some(until) => Err(FaultCause::NodeCrashed { until }),
             None => Ok(()),
@@ -241,9 +226,8 @@ impl<'a, T: Transport + ?Sized> NodeIo<'a, T> {
 /// A protocol round expressed as one small program per network node.
 ///
 /// `schedule()` must list every participating node in a topological order of
-/// the message dependencies (senders before their receivers); the sequential
-/// driver runs nodes in exactly that order over a poll-mode transport, the
-/// threaded driver uses it as the dispatch order of the per-node executors.
+/// the message dependencies (senders before their receivers); [`run_round`]
+/// runs nodes in exactly that order over a poll-mode transport.
 pub trait RoundProgram: Sync {
     /// Number of network nodes (mailboxes) the program needs.
     fn num_nodes(&self) -> usize;
@@ -263,55 +247,17 @@ pub trait RoundProgram: Sync {
         node: NodeId,
         io: &mut NodeIo<'_, T>,
     ) -> Result<bool, FaultCause>;
-
-    /// Exactly how many RNG words `node`'s executor consumes on a
-    /// *fault-free* run — the cross-process RNG alignment contract.
-    ///
-    /// The sequential driver threads one block stream through all nodes in
-    /// schedule order; a node process replaying only its own slice must skip
-    /// precisely this many words for every node scheduled before it (see
-    /// `dqma::cluster`). Every `NodeIo` RNG helper ([`NodeIo::coin`],
-    /// [`NodeIo::bernoulli`], [`NodeIo::coin_accept`]) consumes exactly one
-    /// word, so this is a static property of the node's script.
-    fn fault_free_draws(&self, node: NodeId) -> u64;
-}
-
-/// Folds per-node results (in schedule order) into a [`RoundOutcome`]:
-/// the first fault wins, otherwise unanimous acceptance is required.
-fn fold_outcome(
-    failure: Option<(NodeId, VTime, FaultCause)>,
-    all_accept: bool,
-    partial: ProtocolCosts,
-) -> RoundOutcome {
-    match failure {
-        Some((node, vtime, cause)) => RoundOutcome::Aborted(FaultReport {
-            node,
-            vtime,
-            cause,
-            partial,
-        }),
-        None if all_accept => RoundOutcome::Accept,
-        None => RoundOutcome::Reject,
-    }
 }
 
 fn run_round_inner<P: RoundProgram + ?Sized, T: Transport + ?Sized>(
     program: &P,
     transport: &T,
     policy: &RetryPolicy,
-    salt: u64,
-    rng: &mut StdRng,
+    trial: TrialStreams,
     costs: Option<&mut CostTracker>,
 ) -> (RoundOutcome, RoundStats) {
-    transport.begin_trial(salt);
-    let mut io = NodeIo::new(
-        transport,
-        policy,
-        salt,
-        rng,
-        program.message_qubits(),
-        costs,
-    );
+    let mut io = NodeIo::new(transport, policy, trial, program.message_qubits(), costs);
+    transport.begin_trial(io.salt);
     let mut failure: Option<(NodeId, VTime, FaultCause)> = None;
     let mut all_accept = true;
     let mut partial = ProtocolCosts::default();
@@ -348,12 +294,23 @@ fn run_round_inner<P: RoundProgram + ?Sized, T: Transport + ?Sized>(
             .unwrap_or_default();
         failure = Some((current, io.clock, FaultCause::NodePanicked));
     }
-    let stats = io.stats;
-    (fold_outcome(failure, all_accept, partial), stats)
+    // The first fault wins, otherwise unanimous acceptance is required.
+    let outcome = match failure {
+        Some((node, vtime, cause)) => RoundOutcome::Aborted(FaultReport {
+            node,
+            vtime,
+            cause,
+            partial,
+        }),
+        None if all_accept => RoundOutcome::Accept,
+        None => RoundOutcome::Reject,
+    };
+    (outcome, io.stats)
 }
 
 /// Executes one round of `program` over `transport` on the calling thread,
 /// visiting nodes in schedule order (so a poll-mode transport never waits).
+/// `trial` supplies the fault salt and every node's RNG stream.
 ///
 /// Every trial terminates: faults and even executor panics degrade to
 /// [`RoundOutcome::Aborted`] with the responsible node's [`FaultReport`].
@@ -361,10 +318,9 @@ pub fn run_round<P: RoundProgram + ?Sized, T: Transport + ?Sized>(
     program: &P,
     transport: &T,
     policy: &RetryPolicy,
-    salt: u64,
-    rng: &mut StdRng,
+    trial: TrialStreams,
 ) -> (RoundOutcome, RoundStats) {
-    run_round_inner(program, transport, policy, salt, rng, None)
+    run_round_inner(program, transport, policy, trial, None)
 }
 
 /// As [`run_round`], additionally recording message costs into `costs`. On
@@ -374,87 +330,10 @@ pub fn run_round_with_costs<P: RoundProgram + ?Sized, T: Transport + ?Sized>(
     program: &P,
     transport: &T,
     policy: &RetryPolicy,
-    salt: u64,
-    rng: &mut StdRng,
+    trial: TrialStreams,
     costs: &mut CostTracker,
 ) -> (RoundOutcome, RoundStats) {
-    run_round_inner(program, transport, policy, salt, rng, Some(costs))
-}
-
-/// Executes one round with **one executor per node** on the persistent
-/// [`qsim::pool`] workers, against a blocking transport (one mailbox per
-/// node; receives park briefly rather than poll).
-///
-/// Each node draws from its own RNG stream derived from `(trial_seed,
-/// schedule position)`, so the result is deterministic for a fixed
-/// `(program, plan, salt, trial_seed)` at any worker count — but not
-/// bit-identical to the sequential driver, which threads one stream through
-/// all nodes. Deadlock-free by construction: the pool claims chunks in
-/// increasing schedule order and every node's senders precede it in the
-/// schedule, so the lowest unfinished executor always has its inputs queued.
-/// A panicking executor is contained per node ([`FaultCause::NodePanicked`])
-/// and the pool remains usable.
-pub fn run_round_threaded<P: RoundProgram + ?Sized, T: Transport + Sync + ?Sized>(
-    program: &P,
-    transport: &T,
-    policy: &RetryPolicy,
-    salt: u64,
-    trial_seed: u64,
-) -> (RoundOutcome, RoundStats) {
-    let schedule = program.schedule();
-    transport.begin_trial(salt);
-    let message_qubits = program.message_qubits();
-    type NodeResult = (Result<bool, FaultCause>, VTime, RoundStats);
-    let results: Mutex<Vec<Option<NodeResult>>> = Mutex::new(vec![None; schedule.len()]);
-    qsim::pool::global().dispatch(schedule.len(), schedule.len(), &|_slot, i| {
-        let node = schedule[i];
-        let mut rng = StdRng::seed_from_u64(trial_seed ^ (i as u64 + 1).wrapping_mul(PHI));
-        let mut io = NodeIo::new(transport, policy, salt, &mut rng, message_qubits, None);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            io.begin_node(node)
-                .and_then(|()| program.run_node(node, &mut io))
-        }))
-        .unwrap_or(Err(FaultCause::NodePanicked));
-        let entry = (outcome, io.clock, io.stats);
-        results
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(entry);
-    });
-    let results = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut failure: Option<(NodeId, VTime, FaultCause)> = None;
-    let mut all_accept = true;
-    let mut stats = RoundStats::default();
-    for (i, entry) in results.into_iter().enumerate() {
-        let (decision, vtime, node_stats) =
-            entry.unwrap_or((Err(FaultCause::NodePanicked), 0, RoundStats::default()));
-        stats.merge(&node_stats);
-        match decision {
-            Ok(accept) => all_accept &= accept,
-            Err(cause) => {
-                if failure.is_none() {
-                    failure = Some((schedule[i], vtime, cause));
-                }
-            }
-        }
-    }
-    (
-        fold_outcome(failure, all_accept, ProtocolCosts::default()),
-        stats,
-    )
-}
-
-/// Builds the blocking transport matching `program` and `plan` for the
-/// threaded driver: one mailbox per node, wall-guarded receives.
-pub fn blocking_transport<P: RoundProgram + ?Sized>(
-    program: &P,
-    plan: FaultPlan,
-) -> FaultyTransport<ChannelTransport> {
-    FaultyTransport::new(
-        ChannelTransport::blocking(program.num_nodes(), BLOCKING_RECV_GUARD),
-        plan,
-    )
+    run_round_inner(program, transport, policy, trial, Some(costs))
 }
 
 /// Executes **one node's** executor of one trial — the per-process entry
@@ -464,20 +343,18 @@ pub fn blocking_transport<P: RoundProgram + ?Sized>(
 /// Unlike [`run_round`], this does **not** call `begin_trial`: the caller
 /// owns the trial boundary (the cluster node loop pins the TCP epoch to the
 /// global trial index so every process agrees on which trial a frame belongs
-/// to). On the fault-free path the executor consumes exactly
-/// [`RoundProgram::fault_free_draws`]`(node)` words of `rng` — the property
-/// the cluster runtime relies on to keep per-process RNG streams aligned
-/// with the sequential driver's single thread of consumption. Panics are
-/// contained, surfacing as [`FaultCause::NodePanicked`].
+/// to). The node draws from `trial`'s stream for `node` — exactly the draws
+/// it makes inside [`run_round`] — so per-process executions reproduce the
+/// sequential driver whatever the other nodes did. Panics are contained,
+/// surfacing as [`FaultCause::NodePanicked`].
 pub fn run_single_node<P: RoundProgram + ?Sized, T: Transport + ?Sized>(
     program: &P,
     node: NodeId,
     transport: &T,
     policy: &RetryPolicy,
-    salt: u64,
-    rng: &mut StdRng,
+    trial: TrialStreams,
 ) -> (Result<bool, FaultCause>, VTime, RoundStats) {
-    let mut io = NodeIo::new(transport, policy, salt, rng, program.message_qubits(), None);
+    let mut io = NodeIo::new(transport, policy, trial, program.message_qubits(), None);
     let decision = catch_unwind(AssertUnwindSafe(|| {
         io.begin_node(node)
             .and_then(|()| program.run_node(node, &mut io))
@@ -557,12 +434,6 @@ impl RoundProgram for ChainNetProgram {
             let prev = (io.recv()?.payload & 1) as usize;
             Ok(io.bernoulli(self.plan.table(k, prev)))
         }
-    }
-
-    fn fault_free_draws(&self, node: NodeId) -> u64 {
-        // Node 0 only opens the chain; intermediates draw one `coin_accept`
-        // word, the right extremity one `bernoulli` word.
-        u64::from(node != 0)
     }
 }
 
@@ -716,12 +587,6 @@ impl RoundProgram for RelayNetProgram {
             }
         }
     }
-
-    fn fault_free_draws(&self, node: NodeId) -> u64 {
-        // Every role draws exactly one word (coin_accept or bernoulli)
-        // except the opening left extremity.
-        u64::from(!matches!(self.roles[node], RelayRole::LeftEnd))
-    }
 }
 
 /// A tree node's role in the EQ-tree program; built by
@@ -819,12 +684,6 @@ impl RoundProgram for TreeNetProgram {
             }
         }
     }
-
-    fn fault_free_draws(&self, node: NodeId) -> u64 {
-        // Only internal nodes flip a coin; unused ids and leaves are
-        // draw-free.
-        u64::from(matches!(self.roles[node], TreeRole::Internal { .. }))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -833,7 +692,7 @@ impl RoundProgram for TreeNetProgram {
 
 /// An [`OutcomeSampler`] running a [`RoundProgram`] over a faulty channel
 /// transport: each pool worker owns one transport instance (scratch), each
-/// trial draws a fresh fault salt from its block stream, so outcomes —
+/// trial runs under its own [`BlockRng::trial`] coordinate, so outcomes —
 /// accepts, rejects, aborts, message counts and the transcript digest — are
 /// bit-identical at any worker count.
 pub struct TransportSampler<'a, P: RoundProgram> {
@@ -853,10 +712,27 @@ impl<'a, P: RoundProgram> TransportSampler<'a, P> {
     }
 }
 
+/// Tallies one finished round into `out`; the per-trial digest folds in the
+/// fault salt, exactly as the TCP fleet's supervisor folds its node reports.
+pub(crate) fn tally(
+    out: &mut BlockOutcomes,
+    outcome: &RoundOutcome,
+    stats: &RoundStats,
+    salt: u64,
+) {
+    match outcome {
+        RoundOutcome::Accept => out.accepts += 1,
+        RoundOutcome::Reject => out.rejects += 1,
+        RoundOutcome::Aborted(_) => out.aborts += 1,
+    }
+    out.messages += stats.sent;
+    out.retries += stats.retries;
+    out.digest ^= mix(stats.digest.wrapping_add(salt));
+}
+
 impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
     // Each worker slot owns its transport exclusively, so the unsynchronised
-    // local channel is safe — and roughly halves the zero-fault round cost
-    // relative to the lock-per-mailbox shared transport.
+    // local channel needs no locking.
     type Scratch = FaultyTransport<LocalChannelTransport>;
 
     fn scratch(&self) -> Self::Scratch {
@@ -870,20 +746,13 @@ impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
         &self,
         trials: u64,
         scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
+        stream: &BlockRng,
     ) -> BlockOutcomes {
         let mut out = BlockOutcomes::default();
-        for _ in 0..trials {
-            let salt = rng.random::<u64>();
-            let (outcome, stats) = run_round(self.program, scratch, &self.policy, salt, rng);
-            match outcome {
-                RoundOutcome::Accept => out.accepts += 1,
-                RoundOutcome::Reject => out.rejects += 1,
-                RoundOutcome::Aborted(_) => out.aborts += 1,
-            }
-            out.messages += stats.sent;
-            out.retries += stats.retries;
-            out.digest ^= mix(stats.digest.wrapping_add(salt));
+        for t in 0..trials {
+            let trial = stream.trial(t);
+            let (outcome, stats) = run_round(self.program, scratch, &self.policy, trial);
+            tally(&mut out, &outcome, &stats, trial.salt());
         }
         out
     }
@@ -927,11 +796,11 @@ mod tests {
     #[test]
     fn honest_chain_round_accepts_over_fault_free_transport() {
         let program = eq_path_program(true);
-        let transport = ChannelTransport::poll(program.num_nodes());
+        let transport = LocalChannelTransport::poll(program.num_nodes());
         let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(7);
-        for salt in 0..64u64 {
-            let (outcome, stats) = run_round(&program, &transport, &policy, salt, &mut rng);
+        let stream = BlockRng::new(7, 0);
+        for t in 0..64u64 {
+            let (outcome, stats) = run_round(&program, &transport, &policy, stream.trial(t));
             assert!(outcome.is_accept(), "honest round must accept: {outcome:?}");
             assert_eq!(stats.retries, 0, "fault-free transport must not retry");
             // One message per hop on the path 0..=r.
@@ -946,10 +815,10 @@ mod tests {
             drop_rate: 1.0,
             ..FaultPlan::none()
         };
-        let transport = FaultyTransport::new(ChannelTransport::poll(program.num_nodes()), plan);
+        let transport =
+            FaultyTransport::new(LocalChannelTransport::poll(program.num_nodes()), plan);
         let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(11);
-        let (outcome, _) = run_round(&program, &transport, &policy, 3, &mut rng);
+        let (outcome, _) = run_round(&program, &transport, &policy, BlockRng::new(11, 0).trial(3));
         match outcome {
             RoundOutcome::Aborted(report) => {
                 assert_eq!(report.node, 0, "the first sender hits the wall first");
@@ -982,14 +851,11 @@ mod tests {
                 }
                 Ok(true)
             }
-            fn fault_free_draws(&self, _node: NodeId) -> u64 {
-                0
-            }
         }
-        let transport = ChannelTransport::poll(2);
+        let transport = LocalChannelTransport::poll(2);
         let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(0);
-        let (outcome, _) = run_round(&Bomb, &transport, &policy, 1, &mut rng);
+        let stream = BlockRng::new(0, 0);
+        let (outcome, _) = run_round(&Bomb, &transport, &policy, stream.trial(1));
         match outcome {
             RoundOutcome::Aborted(report) => {
                 assert_eq!(report.node, 1);
@@ -999,8 +865,8 @@ mod tests {
         }
         // The poll transport (and the driver) stay usable.
         let program = eq_path_program(true);
-        let transport = ChannelTransport::poll(program.num_nodes());
-        let (outcome, _) = run_round(&program, &transport, &policy, 2, &mut rng);
+        let transport = LocalChannelTransport::poll(program.num_nodes());
+        let (outcome, _) = run_round(&program, &transport, &policy, stream.trial(2));
         assert!(outcome.is_accept());
     }
 
@@ -1015,12 +881,12 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let transport = FaultyTransport::new(ChannelTransport::poll(program.num_nodes()), plan);
+        let transport =
+            FaultyTransport::new(LocalChannelTransport::poll(program.num_nodes()), plan);
         let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(5);
         let mut costs = CostTracker::new();
-        let (outcome, _) =
-            run_round_with_costs(&program, &transport, &policy, 9, &mut rng, &mut costs);
+        let trial = BlockRng::new(5, 0).trial(9);
+        let (outcome, _) = run_round_with_costs(&program, &transport, &policy, trial, &mut costs);
         match outcome {
             RoundOutcome::Aborted(report) => {
                 // Node 1's send into the crashed node exhausts first (send
@@ -1036,26 +902,5 @@ mod tests {
             }
             other => panic!("expected an abort, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn threaded_driver_matches_outcome_determinism() {
-        let program = eq_path_program(false);
-        let plan = FaultPlan::with_drop(0.2);
-        let policy = RetryPolicy::default();
-        let transport = blocking_transport(&program, plan);
-        let mut runs = Vec::new();
-        for _ in 0..2 {
-            let mut accepts = 0u64;
-            let mut digest = 0u64;
-            for trial in 0..32u64 {
-                let (outcome, stats) =
-                    run_round_threaded(&program, &transport, &policy, trial, trial ^ 0xABCD);
-                accepts += u64::from(outcome.is_accept());
-                digest ^= mix(stats.digest.wrapping_add(trial));
-            }
-            runs.push((accepts, digest));
-        }
-        assert_eq!(runs[0], runs[1], "threaded driver must be reproducible");
     }
 }

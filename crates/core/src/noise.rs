@@ -40,18 +40,16 @@
 
 use crate::adversary::{plan_acceptance, swap_accept};
 use crate::chain::{ChainRoundPlan, SeparableChainProof, SwapTestChain};
-use crate::net::{mix, run_round, NodeIo, RoundProgram};
+use crate::net::{run_round, tally, NodeIo, RoundProgram};
 use crate::trials::{
     default_lane_width, BatchSampler, BlockOutcomes, BlockRng, LaneBatched, OutcomeSampler,
     MAX_LANES,
 };
 use netsim::{
-    FaultCause, FaultPlan, FaultyTransport, LocalChannelTransport, NodeId, RetryPolicy,
-    RoundOutcome, Transport,
+    FaultCause, FaultPlan, FaultyTransport, LocalChannelTransport, NodeId, RetryPolicy, Transport,
 };
 use qsim::random::CounterRng;
 use qsim::CVector;
-use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Kraus branches with selection probability below this are pruned (they
@@ -611,7 +609,7 @@ impl NoisyChainSampler {
     /// used ones), then assembled into the `4·(k+1)` coin-pair table layout
     /// of [`ChainRoundPlan`]. Scratch-buffered so a transport trial costs
     /// zero heap allocations, like the noise-free [`crate::net`] samplers.
-    fn transport_trial_tables(&self, rng: &mut StdRng, scratch: &mut TransportTables) {
+    fn transport_trial_tables(&self, rng: &mut CounterRng, scratch: &mut TransportTables) {
         let tables = &mut scratch.tables;
         let (mp, mm) = (&mut scratch.mp, &mut scratch.mm);
         if self.quiet {
@@ -748,19 +746,14 @@ impl RoundProgram for NoisyChainProgram<'_> {
             Ok(io.bernoulli(self.table(self.k, prev)))
         }
     }
-
-    fn fault_free_draws(&self, node: NodeId) -> u64 {
-        // Same script as `ChainNetProgram`: one word everywhere but node 0.
-        u64::from(node != 0)
-    }
 }
 
 /// [`OutcomeSampler`] running noisy chain rounds over the fault-injecting
-/// transport: per trial, a fault salt is drawn first (the exact schedule of
-/// [`crate::net::TransportSampler`] — a quiet plan therefore reproduces its
-/// outcomes and transcript digest bit-exactly), then the trajectory's
-/// branch draws, then the round executes over the worker's
-/// [`FaultyTransport`].
+/// transport: each trial draws its trajectory branches from
+/// [`BlockRng::noise_rng`], then executes over the worker's
+/// [`FaultyTransport`] under the same [`BlockRng::trial`] coordinate as
+/// [`crate::net::TransportSampler`] — so a quiet plan reproduces that
+/// sampler's outcomes and transcript digest bit-exactly.
 pub struct NoisyTransportSampler<'a> {
     sampler: &'a NoisyChainSampler,
     faults: FaultPlan,
@@ -794,27 +787,20 @@ impl OutcomeSampler for NoisyTransportSampler<'_> {
         &self,
         trials: u64,
         scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
+        stream: &BlockRng,
     ) -> BlockOutcomes {
         let mut out = BlockOutcomes::default();
-        for _ in 0..trials {
-            let salt = rng.random::<u64>();
+        for t in 0..trials {
             self.sampler
-                .transport_trial_tables(rng, &mut scratch.tables);
+                .transport_trial_tables(&mut stream.noise_rng(t), &mut scratch.tables);
             let program = NoisyChainProgram {
                 tables: &scratch.tables.tables,
                 k: self.sampler.k,
                 schedule: &scratch.schedule,
             };
-            let (outcome, stats) = run_round(&program, &scratch.transport, &self.policy, salt, rng);
-            match outcome {
-                RoundOutcome::Accept => out.accepts += 1,
-                RoundOutcome::Reject => out.rejects += 1,
-                RoundOutcome::Aborted(_) => out.aborts += 1,
-            }
-            out.messages += stats.sent;
-            out.retries += stats.retries;
-            out.digest ^= mix(stats.digest.wrapping_add(salt));
+            let trial = stream.trial(t);
+            let (outcome, stats) = run_round(&program, &scratch.transport, &self.policy, trial);
+            tally(&mut out, &outcome, &stats, trial.salt());
         }
         out
     }

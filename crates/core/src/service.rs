@@ -527,6 +527,10 @@ fn get_u64(v: &json::Parsed, key: &str) -> Result<u64, String> {
     opt_u64(v, key)?.ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
+/// JSON numbers travel as `f64`, which holds every integer below 2^53 and
+/// no longer tells integers apart from there on (2^53 + 1 reads as 2^53).
+const JSON_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(json::Parsed::Null) => Ok(None),
@@ -534,8 +538,8 @@ fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
             let x = f
                 .as_num()
                 .ok_or_else(|| format!("field {key:?} is not a number"))?;
-            if x < 0.0 || x.fract() != 0.0 || x > u64::MAX as f64 {
-                return Err(format!("field {key:?} is not a non-negative integer"));
+            if x < 0.0 || x.fract() != 0.0 || x >= JSON_INT_LIMIT {
+                return Err(format!("field {key:?} is not an integer in [0, 2^53)"));
             }
             Ok(Some(x as u64))
         }
@@ -807,7 +811,8 @@ impl Default for ServiceConfig {
 
 /// Monotone service counters — the observability surface `GET /v1/healthz`
 /// exposes and the chaos battery audits (e.g. *zero silent rejects* is
-/// `submitted == completed + failed + still-live`).
+/// `submitted == completed + partial + failed + still-live`, which journal
+/// recovery preserves across restarts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Jobs admitted.
@@ -1157,6 +1162,17 @@ fn recover(
     stats
         .submitted
         .fetch_add(st.jobs.len() as u64, Ordering::Relaxed);
+    // Replayed terminal jobs keep the books balanced:
+    // `submitted = completed + partial + failed + live`.
+    for job in st.jobs.values() {
+        let counter = match &job.status {
+            JobStatus::Done(r) if r.partial => &stats.partial,
+            JobStatus::Done(_) => &stats.completed,
+            JobStatus::Failed(_) => &stats.failed,
+            _ => continue,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
     st.queue.extend(unfinished);
     Ok(())
 }
@@ -1821,10 +1837,18 @@ mod tests {
 
         // Fabricate the journal of a crashed server: the job was admitted
         // and three full blocks were journaled before the "crash" (plus a
-        // torn final line, which recovery must tolerate).
+        // torn final line, which recovery must tolerate). Two earlier jobs
+        // had already finished: one partial, one failed.
         let plan = spec.instance.compile();
         let key = spec.instance.key();
-        let mut lines = vec![format!("job 7 {}", spec.encode())];
+        let earlier = small_job(2 * BLOCK_TRIALS, 5).encode();
+        let mut lines = vec![
+            format!("job 5 {earlier}"),
+            format!("done 5 {BLOCK_TRIALS} 100 1 30"),
+            format!("job 6 {earlier}"),
+            "fail 6 injected panic at block 0".to_string(),
+            format!("job 7 {}", spec.encode()),
+        ];
         for b in 0..3u64 {
             let a = plan.sample_block(BLOCK_TRIALS, &mut (), &BlockRng::new(123, b));
             lines.push(format!("blk {key:016x} 123 {b} {a}"));
@@ -1854,6 +1878,13 @@ mod tests {
             3,
             "journaled blocks are not resampled"
         );
+        let balanced = |s: StatsSnapshot| {
+            assert_eq!(
+                (s.submitted, s.completed, s.partial, s.failed),
+                (3, 1, 1, 1)
+            );
+        };
+        balanced(svc.stats());
         svc.shutdown();
 
         // Second restart: the finished job is still queryable and nothing
@@ -1869,6 +1900,7 @@ mod tests {
             panic!("done status must survive restart");
         };
         assert_eq!(r2.accepts, reference.accepts);
+        balanced(svc2.stats());
         svc2.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1893,6 +1925,12 @@ mod tests {
             .0,
             400
         );
+        // An integer f64 cannot carry is a 400 naming the field.
+        let huge = small_job(BLOCK_TRIALS, 4242)
+            .to_json()
+            .replace("\"seed\":4242", "\"seed\":9007199254740993");
+        let (code, resp) = route(&svc, "POST", "/v1/jobs", &huge);
+        assert!(code == 400 && resp.contains("seed"), "{code} {resp}");
         // Unknown paths and ids.
         assert_eq!(route(&svc, "GET", "/nope", "").0, 404);
         assert_eq!(route(&svc, "GET", "/v1/jobs/999", "").0, 404);

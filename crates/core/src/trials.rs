@@ -13,19 +13,22 @@
 //!
 //! # Determinism across worker counts (and lane widths)
 //!
-//! Every block of [`BLOCK_TRIALS`] trials owns dedicated RNG streams derived
-//! *from the block index alone*, handed to samplers as a [`BlockRng`]
-//! coordinate with two stream families:
+//! Every block of [`BLOCK_TRIALS`] trials owns RNG streams derived *from
+//! its coordinates alone*, handed to samplers as a [`BlockRng`]. All of
+//! them are counter streams ([`qsim::random::CounterRng`]), so a draw is a
+//! pure function of where it sits, never of what ran before it:
 //!
-//! * [`BlockRng::block_rng`] — the legacy sequential per-block stream
-//!   (`StdRng::seed_from_u64(seed ⊕ (block+1)·φ)` with φ the 64-bit golden
-//!   ratio), used by samplers that walk trials one at a time (the
-//!   mixed-proof chain sampler, transport-backed outcome rounds);
-//! * [`BlockRng::trial_rng`] — a counter-based stream **per trial**
-//!   ([`qsim::random::CounterRng`] keyed by `(seed, block, trial)`), used by
-//!   the lane-batched engine: a trial's draws are a pure function of its
-//!   coordinates, so its outcome cannot depend on how trials are grouped
-//!   into lanes.
+//! * [`BlockRng::trial_rng`] — one stream per trial, keyed by
+//!   `(seed, block, trial)`: the lane-batched engine and the mixed-proof
+//!   walk draw from it, so an outcome cannot depend on how trials are
+//!   grouped into lanes;
+//! * [`BlockRng::noise_rng`] — a second per-trial stream for Kraus
+//!   trajectory branches, keyed apart from the first;
+//! * [`BlockRng::trial`] — the coordinate of one message-passing trial:
+//!   its fault salt and one stream per network node, keyed by
+//!   `(seed, block, trial, node)`. A node opens its own stream in O(1),
+//!   whether it runs inside [`crate::net::run_round`] or alone in its own
+//!   process ([`crate::cluster`]).
 //!
 //! Blocks are claimed dynamically by workers, but a block's accept count
 //! depends only on `(seed, block index, plan)`, and the total is a
@@ -59,24 +62,14 @@
 
 use qsim::random::CounterRng;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use rand::{RngCore, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Trials per RNG-stream block. Fixed — it is part of the determinism
 /// contract: changing it changes which trial consumes which random draw, so
 /// accept counts would differ (across versions, never across worker counts).
 pub const BLOCK_TRIALS: u64 = 8192;
-
-/// 64-bit golden-ratio increment (the SplitMix64 stream constant); spaces
-/// the per-block seeds so `SeedableRng::seed_from_u64`'s SplitMix64
-/// expansion yields decorrelated streams.
-const STREAM_PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The dedicated RNG stream of block `block` under master seed `seed`.
-pub fn stream_rng(seed: u64, block: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ block.wrapping_add(1).wrapping_mul(STREAM_PHI))
-}
 
 /// Shared statistical bounds for the Monte-Carlo test batteries.
 ///
@@ -140,7 +133,7 @@ pub(crate) fn block_len(n: u64, nblocks: u64, b: u64) -> u64 {
     }
 }
 
-/// The RNG coordinate of one trial block: hands samplers both stream
+/// The RNG coordinate of one trial block: hands samplers the stream
 /// families derived from `(seed, block)` — see the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockRng {
@@ -172,11 +165,17 @@ impl BlockRng {
         self.block
     }
 
-    /// The legacy sequential per-block stream (identical to
-    /// [`stream_rng`]`(seed, block)`) for samplers that walk trials one at
-    /// a time.
+    /// A sequential per-block stream (`StdRng` seeded from `seed` and the
+    /// block index through the golden-ratio stride) for loops that walk
+    /// rounds one at a time outside the trial engine.
     pub fn block_rng(&self) -> StdRng {
-        stream_rng(self.seed, self.block)
+        StdRng::seed_from_u64(
+            self.seed
+                ^ self
+                    .block
+                    .wrapping_add(1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        )
     }
 
     /// The counter-based stream of trial `trial` (0-based within the block):
@@ -188,7 +187,7 @@ impl BlockRng {
 
     /// The counter-based **noise-draw** stream of trial `trial`: the same
     /// `(block key, trial index)` derivation as [`BlockRng::trial_rng`], but
-    /// keyed through [`NOISE_STREAM_SALT`], so noise-branch selections are a
+    /// keyed through a separate salt, so noise-branch selections are a
     /// pure per-trial function that never consumes from — and therefore never
     /// perturbs — the coin/accept draw schedule. Toggling a noise model off
     /// reproduces the noise-free accept counts bit-exactly (pinned by the
@@ -196,6 +195,17 @@ impl BlockRng {
     #[inline]
     pub fn noise_rng(&self, trial: u64) -> CounterRng {
         CounterRng::for_trial_key(self.noise_key, trial)
+    }
+
+    /// The coordinate of message-passing trial `trial` (0-based within the
+    /// block): its fault salt and its per-node streams. The trial's key is
+    /// finalised through a SplitMix64 round, so it shares no linear
+    /// structure with [`BlockRng::trial_rng`]`(trial)`.
+    #[inline]
+    pub fn trial(&self, trial: u64) -> TrialStreams {
+        TrialStreams {
+            key: CounterRng::block_key(self.trial_key, trial),
+        }
     }
 
     /// Fills one lane batch of per-trial draws starting at trial `t0`:
@@ -206,6 +216,31 @@ impl BlockRng {
     #[inline]
     pub fn fill_lane_streams(&self, t0: u64, words: &mut [u64], draws: &mut [f64]) {
         qsim::simd::fill_trial_streams(self.trial_key, t0, words, draws);
+    }
+}
+
+/// The RNG coordinate of one message-passing trial ([`BlockRng::trial`]):
+/// the trial's fault salt and one counter stream per network node. Both
+/// are pure functions of `(seed, block, trial, node)`, so a node's draws do
+/// not depend on which other nodes ran, in what order, or whether an
+/// earlier trial faulted.
+#[derive(Clone, Copy, Debug)]
+pub struct TrialStreams {
+    key: u64,
+}
+
+impl TrialStreams {
+    /// The trial's fault salt: the first word of the stream at the trial's
+    /// own key, which every node stream is keyed apart from.
+    #[inline]
+    pub fn salt(&self) -> u64 {
+        CounterRng::new(self.key).next_u64()
+    }
+
+    /// The stream of network node `node` in this trial.
+    #[inline]
+    pub fn node_rng(&self, node: usize) -> CounterRng {
+        CounterRng::for_trial_key(self.key, node as u64)
     }
 }
 
@@ -388,33 +423,14 @@ pub fn run_trials_with_workers<S: BatchSampler>(
     workers: usize,
 ) -> TrialReport {
     let start = Instant::now();
-    let nblocks = n.div_ceil(BLOCK_TRIALS);
-    // Effective width: a block is the dispatch unit, so more workers than
-    // blocks cannot engage (the report records the width actually used).
-    let workers = workers.max(1).min((nblocks as usize).max(1));
-    let accepts = if workers == 1 || nblocks <= 1 {
-        let mut scratch = sampler.scratch();
-        (0..nblocks)
-            .map(|b| {
-                sampler.sample_block(
-                    block_len(n, nblocks, b),
-                    &mut scratch,
-                    &BlockRng::new(seed, b),
-                )
-            })
-            .sum()
-    } else {
-        let total = AtomicU64::new(0);
-        let scratch = qsim::pool::SlotScratch::new(workers, || sampler.scratch());
-        qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
-            let b = chunk as u64;
-            // Safety: `slot` is the pool-provided slot id of this job.
-            let s = unsafe { scratch.get(slot) };
-            let a = sampler.sample_block(block_len(n, nblocks, b), s, &BlockRng::new(seed, b));
-            total.fetch_add(a, Ordering::Relaxed);
-        });
-        total.into_inner()
-    };
+    let (accepts, workers) = run_blocks(
+        n,
+        seed,
+        workers,
+        || sampler.scratch(),
+        |len, scratch, stream| sampler.sample_block(len, scratch, stream),
+        |total: &mut u64, a| *total += a,
+    );
     TrialReport {
         trials: n,
         accepts,
@@ -423,29 +439,51 @@ pub fn run_trials_with_workers<S: BatchSampler>(
     }
 }
 
-/// Runs up to `n` trials of `sampler` under master seed `seed`, stopping at
-/// the first block boundary past `deadline` (when given). Returns a
-/// [`TrialReport`] over the trials actually completed — a *partial* report
-/// whose `trials` field may be any prefix `k · BLOCK_TRIALS ≤ n` of the
-/// request (plus the short tail block when the run completes).
-///
-/// Blocks are processed strictly in order, so the completed prefix is
-/// bit-identical to the same prefix of an unbounded [`run_trials`] with the
-/// same `(sampler, n, seed)`: deadline expiry never changes *which* rounds
-/// were sampled, only how many. This is the property the serving layer's
-/// crash-recovery journal relies on (see [`crate::service`]).
-///
-/// See [`run_trials_observed`] for the hook-bearing variant.
-pub fn run_trials_deadline<S: BatchSampler>(
-    sampler: &S,
+/// The block-dispatch loop behind both runners: samples every block of `n`
+/// trials over at most `workers` pool slots (one scratch arena per slot;
+/// the pool runs inline, in block order, at one slot) and folds the
+/// per-block results with `merge`, which must be commutative since blocks
+/// are claimed dynamically. Returns the folded result and the effective
+/// width: a block is the dispatch unit, so more workers than blocks cannot
+/// engage.
+fn run_blocks<T, Scr>(
     n: u64,
     seed: u64,
-    deadline: Option<Instant>,
-) -> TrialReport {
-    run_trials_observed(sampler, n, seed, deadline, &mut |_| None, &mut |_, _, _| {})
+    workers: usize,
+    scratch: impl Fn() -> Scr,
+    sample: impl Fn(u64, &mut Scr, &BlockRng) -> T + Sync,
+    merge: impl Fn(&mut T, T) + Sync,
+) -> (T, usize)
+where
+    T: Default + Send,
+    Scr: Send,
+{
+    let nblocks = n.div_ceil(BLOCK_TRIALS);
+    let workers = workers.max(1).min((nblocks as usize).max(1));
+    let total = Mutex::new(T::default());
+    let slots = qsim::pool::SlotScratch::new(workers, scratch);
+    qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
+        let b = chunk as u64;
+        // SAFETY: `slot` is the pool-provided slot id of this job, and the
+        // pool drives each slot from at most one thread at a time.
+        let s = unsafe { slots.get(slot) };
+        let r = sample(block_len(n, nblocks, b), s, &BlockRng::new(seed, b));
+        merge(&mut total.lock().unwrap_or_else(PoisonError::into_inner), r);
+    });
+    let total = total.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (total, workers)
 }
 
-/// The hook-bearing deadline runner behind [`run_trials_deadline`].
+/// Runs up to `n` trials of `sampler` under master seed `seed`, serially and
+/// in block order, stopping at the first block boundary past `deadline`
+/// (when given). Returns a [`TrialReport`] over the trials actually
+/// completed — a *partial* report whose `trials` field may be any prefix
+/// `k · BLOCK_TRIALS ≤ n` of the request (plus the short tail block when the
+/// run completes). Because blocks run strictly in order, the completed
+/// prefix is bit-identical to the same prefix of an unbounded [`run_trials`]:
+/// deadline expiry never changes *which* rounds were sampled, only how many.
+/// This is the property the serving layer's crash-recovery journal relies
+/// on (see [`crate::service`]).
 ///
 /// For each block `b` (in order), the engine first consults
 /// `cached(b)`; a `Some(accepts)` is taken as the block's accept count
@@ -533,7 +571,7 @@ impl BlockOutcomes {
 
 /// A prepared sampler producing three-way [`BlockOutcomes`] per block; the
 /// same purity requirement as [`BatchSampler`] applies (a block's outcome
-/// depends only on `(self, trials, rng stream)`).
+/// depends only on `(self, trials, stream)`).
 pub trait OutcomeSampler: Sync {
     /// Per-worker scratch (typically a transport instance), built once per
     /// slot and reused across blocks.
@@ -542,12 +580,12 @@ pub trait OutcomeSampler: Sync {
     /// Builds one scratch arena.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Runs `trials` rounds drawing from `rng`, tallying their outcomes.
+    /// Runs `trials` rounds drawing from `stream`, tallying their outcomes.
     fn sample_block(
         &self,
         trials: u64,
         scratch: &mut Self::Scratch,
-        rng: &mut StdRng,
+        stream: &BlockRng,
     ) -> BlockOutcomes;
 }
 
@@ -611,12 +649,6 @@ impl OutcomeReport {
     }
 }
 
-/// Runs `n` three-way trials of `sampler` under master seed `seed` at the
-/// default width. See [`run_outcome_trials_with_workers`].
-pub fn run_outcome_trials<S: OutcomeSampler>(sampler: &S, n: u64, seed: u64) -> OutcomeReport {
-    run_outcome_trials_with_workers(sampler, n, seed, default_workers())
-}
-
 /// Runs `n` three-way trials of `sampler` under master seed `seed`,
 /// dispatched over at most `workers` pool slots. Identical block-index
 /// determinism contract as [`run_trials_with_workers`]: counts *and* the
@@ -628,37 +660,14 @@ pub fn run_outcome_trials_with_workers<S: OutcomeSampler>(
     workers: usize,
 ) -> OutcomeReport {
     let start = Instant::now();
-    let nblocks = n.div_ceil(BLOCK_TRIALS);
-    let workers = workers.max(1).min((nblocks as usize).max(1));
-    let outcomes = if workers == 1 || nblocks <= 1 {
-        let mut scratch = sampler.scratch();
-        let mut total = BlockOutcomes::default();
-        for b in 0..nblocks {
-            let o = sampler.sample_block(
-                block_len(n, nblocks, b),
-                &mut scratch,
-                &mut stream_rng(seed, b),
-            );
-            total.merge(&o);
-        }
-        total
-    } else {
-        let total = std::sync::Mutex::new(BlockOutcomes::default());
-        let scratch = qsim::pool::SlotScratch::new(workers, || sampler.scratch());
-        qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
-            let b = chunk as u64;
-            // Safety: `slot` is the pool-provided slot id of this job.
-            let s = unsafe { scratch.get(slot) };
-            let o = sampler.sample_block(block_len(n, nblocks, b), s, &mut stream_rng(seed, b));
-            total
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .merge(&o);
-        });
-        total
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    };
+    let (outcomes, workers) = run_blocks(
+        n,
+        seed,
+        workers,
+        || sampler.scratch(),
+        |len, scratch, stream| sampler.sample_block(len, scratch, stream),
+        |total: &mut BlockOutcomes, o| total.merge(&o),
+    );
     OutcomeReport {
         trials: n,
         outcomes,
@@ -685,8 +694,9 @@ mod tests {
         }
         fn sample_block(&self, trials: u64, scratch: &mut u64, stream: &BlockRng) -> u64 {
             *scratch += 1;
-            let mut rng = stream.block_rng();
-            (0..trials).filter(|_| rng.random::<f64>() < self.p).count() as u64
+            (0..trials)
+                .filter(|&t| stream.trial_rng(t).random::<f64>() < self.p)
+                .count() as u64
         }
     }
 
@@ -777,10 +787,10 @@ mod tests {
     impl OutcomeSampler for ThreeWay {
         type Scratch = ();
         fn scratch(&self) {}
-        fn sample_block(&self, trials: u64, _s: &mut (), rng: &mut StdRng) -> BlockOutcomes {
+        fn sample_block(&self, trials: u64, _s: &mut (), stream: &BlockRng) -> BlockOutcomes {
             let mut out = BlockOutcomes::default();
-            for _ in 0..trials {
-                let x: f64 = rng.random();
+            for t in 0..trials {
+                let x: f64 = stream.trial_rng(t).random();
                 if x < self.abort {
                     out.aborts += 1;
                 } else if x < self.abort + self.accept {
@@ -890,7 +900,7 @@ mod tests {
         let coin = Coin { p: 0.37 };
         let n = 3 * BLOCK_TRIALS + 511;
         let full = run_trials_with_workers(&coin, n, 21, 1);
-        let budgeted = run_trials_deadline(&coin, n, 21, None);
+        let budgeted = run_trials_observed(&coin, n, 21, None, &mut |_| None, &mut |_, _, _| {});
         assert_eq!(budgeted.trials, full.trials);
         assert_eq!(budgeted.accepts, full.accepts);
     }
@@ -899,7 +909,14 @@ mod tests {
     fn expired_deadline_yields_an_empty_partial_report() {
         let coin = Coin { p: 0.5 };
         let past = Instant::now() - Duration::from_secs(1);
-        let r = run_trials_deadline(&coin, 10 * BLOCK_TRIALS, 7, Some(past));
+        let r = run_trials_observed(
+            &coin,
+            10 * BLOCK_TRIALS,
+            7,
+            Some(past),
+            &mut |_| None,
+            &mut |_, _, _| {},
+        );
         assert_eq!(r.trials, 0);
         assert_eq!(r.accepts, 0);
         // A zero-trial report still carries a (vacuous) Wilson interval.

@@ -297,6 +297,10 @@ fn service_spec_wire_negatives_are_structured_errors() {
         "{\"instance\":{\"protocol\":\"eq_path\",\"r\":8,\"bits\":6,\"x\":\"101\",\"y\":\"110101\"},\"trials\":1}",
         "{\"instance\":{\"protocol\":\"eq_path\",\"r\":8,\"bits\":6,\"x\":\"101101\",\"y\":\"110101\"},\"trials\":-3}",
         "{\"instance\":{\"protocol\":\"eq_path\",\"r\":8,\"bits\":6,\"x\":\"101101\",\"y\":\"110101\"},\"trials\":1.5}",
+        // Integers at or above 2^53 do not survive the trip through f64:
+        // 2^53 + 1 would run as 2^53, and 2^64 would saturate to u64::MAX.
+        "{\"instance\":{\"protocol\":\"eq_path\",\"r\":8,\"bits\":6,\"x\":\"101101\",\"y\":\"110101\"},\"trials\":1,\"seed\":9007199254740993}",
+        "{\"instance\":{\"protocol\":\"eq_path\",\"r\":8,\"bits\":6,\"x\":\"101101\",\"y\":\"110101\",\"scheme_seed\":18446744073709551616},\"trials\":1}",
     ] {
         let outcome = dqma::service::json::parse(body).and_then(|p| JobSpec::from_json(&p));
         assert!(outcome.is_err(), "hostile body {body:?} must not produce a job");

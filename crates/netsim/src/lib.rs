@@ -15,18 +15,20 @@
 //! * cost accounting for proofs and messages matching Definitions 5–8 —
 //!   [`transcript`];
 //! * a message-passing transport layer with deterministic fault injection —
-//!   [`transport`].
+//!   [`transport`] — and the same envelopes over real sockets, one node per
+//!   process — [`tcp`].
 //!
 //! # Transport and fault model
 //!
 //! The [`transport`] module replaces the synchronous in-process transcript
 //! model with genuine per-node message passing: protocols exchange
 //! sequence-numbered [`transport::Envelope`]s (`src`, `dst`, `seq`,
-//! `attempt`, 64-bit payload) over a [`transport::Transport`] — either plain
-//! in-memory mailboxes ([`transport::ChannelTransport`]) or the same
-//! mailboxes wrapped in a seeded [`transport::FaultyTransport`] that injects
-//! drops, acknowledgement loss, latency/reordering, duplication, partitions
-//! and node crash/restart from a [`transport::FaultPlan`]. Delivery is
+//! `attempt`, 64-bit payload) over a [`transport::Transport`] — in-memory
+//! mailboxes ([`transport::LocalChannelTransport`]), optionally wrapped in a
+//! seeded [`transport::FaultyTransport`] that injects drops,
+//! acknowledgement loss, latency/reordering, duplication, partitions and
+//! node crash/restart from a [`transport::FaultPlan`], or real sockets
+//! between one-node processes ([`tcp::TcpTransport`]). Delivery is
 //! idempotent (receivers deduplicate on `(src, seq)`), timeouts and
 //! exponential-backoff retries run on a *virtual* clock, and every fault
 //! decision is a pure hash of the trial salt and the message identity — so a
@@ -64,7 +66,7 @@ pub use policy::RetryPolicy;
 pub use tcp::TcpTransport;
 pub use transcript::{CostTracker, ProtocolCosts};
 pub use transport::{
-    ChannelTransport, CrashWindow, Envelope, FaultCause, FaultPlan, FaultReport, FaultyTransport,
+    CrashWindow, Envelope, FaultCause, FaultPlan, FaultReport, FaultyTransport,
     LocalChannelTransport, NodeId, PartitionWindow, RoundOutcome, Transport, VTime,
 };
 pub use tree::{SpanningTree, TerminalTree, TreeLabel};

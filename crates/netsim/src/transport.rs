@@ -28,10 +28,15 @@
 //! clock; the transport stamps every envelope with a virtual arrival time and
 //! acknowledgements resolve to a virtual instant. Because no decision reads a
 //! wall clock, a trial is a pure function of `(seed, fault schedule)` — the
-//! foundation of the bit-reproducibility guarantee. Wall time appears in one
-//! place only: the blocking receive mode of [`ChannelTransport`] bounds its
-//! physical wait with a liveness guard so a lost message can never hang a
-//! thread.
+//! foundation of the bit-reproducibility guarantee.
+//!
+//! # Transports
+//!
+//! In process, [`LocalChannelTransport`] is the one transport: one mailbox
+//! per node and no synchronisation, owned by one thread at a time (each
+//! worker of the batched trial engine owns its own). Across processes, the
+//! TCP transport of [`crate::tcp`] carries the same envelopes over real
+//! sockets, one node per process — that is the concurrent executor.
 //!
 //! # Fault model
 //!
@@ -58,9 +63,8 @@
 //! deterministic jitter; exhausted budgets surface as a [`FaultCause`] so a
 //! round resolves to [`RoundOutcome::Aborted`] instead of hanging.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::transcript::ProtocolCosts;
 
@@ -107,12 +111,9 @@ pub enum RecvOutcome {
 
 /// A byte-moving substrate for one protocol round.
 ///
-/// The trait itself is single-thread friendly — the batched fault-sweep
-/// engine hands each worker an exclusively-owned transport
-/// ([`LocalChannelTransport`]), which needs no synchronisation at all. Only
-/// the threaded round driver, which shares one transport across per-node
-/// executors, additionally requires `Sync` (an explicit bound at that call
-/// site; [`ChannelTransport`] satisfies it).
+/// The trait is single-thread friendly: the batched fault-sweep engine hands
+/// each worker an exclusively-owned [`LocalChannelTransport`], which needs
+/// no synchronisation at all.
 pub trait Transport {
     /// Attempts to deliver `env`, returning the acknowledgement verdict.
     ///
@@ -178,71 +179,8 @@ const TAG_SEND_JITTER: u64 = 0xA0761D6478BD642F;
 const TAG_RECV_JITTER: u64 = 0xE703_7ED1_A0B4_28DB;
 
 // ---------------------------------------------------------------------------
-// Spin-locked mailboxes
+// Mailboxes
 // ---------------------------------------------------------------------------
-
-/// A minimal spinlock. Mailbox critical sections are a handful of Vec
-/// operations, far below the cost of parking a thread, and the batch engine
-/// runs one transport per worker (zero contention) — so a spinlock beats a
-/// `std::sync::Mutex` on the hot path and can never be poisoned.
-struct SpinLock<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: the lock bit serialises all access to `value`.
-unsafe impl<T: Send> Sync for SpinLock<T> {}
-
-struct SpinGuard<'a, T> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T> SpinLock<T> {
-    fn new(value: T) -> Self {
-        SpinLock {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    fn lock(&self) -> SpinGuard<'_, T> {
-        let mut spins = 0u32;
-        while self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        SpinGuard { lock: self }
-    }
-}
-
-impl<T> std::ops::Deref for SpinGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: guard holds the lock.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> std::ops::DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard holds the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
 
 /// A queued message, packed to 32 bytes: the destination is implicit (it is
 /// the mailbox's own node) and the `usize` source id narrows to `u32`
@@ -282,9 +220,9 @@ impl Queued {
 /// a `u64::MAX` key would need `src == u32::MAX`, which `push` rejects.
 const NO_KEY: u64 = u64::MAX;
 
-/// One node's inbox. Cleared lazily: instead of locking every mailbox at the
+/// One node's inbox. Cleared lazily: instead of touching every mailbox at the
 /// start of each trial, `begin_trial` bumps a shared epoch and each mailbox
-/// self-clears on first touch in the new epoch — one atomic per reset.
+/// self-clears on first touch in the new epoch.
 ///
 /// Layout is tuned for the dominant traffic pattern of the protocol rounds —
 /// exactly one in-flight message per node: `slot` is an inline fast path
@@ -422,127 +360,18 @@ impl Mailbox {
     }
 }
 
-/// In-memory channel transport: one spin-locked mailbox per node.
+/// In-memory channel transport: one mailbox per node, with **no
+/// synchronisation** — mailboxes live in [`UnsafeCell`]s, so the type is
+/// deliberately `!Sync` and backs the sequential round driver only.
 ///
-/// Two receive modes:
-///
-/// * **poll** ([`ChannelTransport::poll`]) — `recv` returns
-///   [`RecvOutcome::TimedOut`] immediately when nothing eligible is queued.
-///   Correct for the sequential executor, which runs nodes in schedule order
-///   so every expected message is already enqueued when its receiver runs.
-/// * **blocking** ([`ChannelTransport::blocking`]) — `recv` physically waits
-///   (bounded by a wall-clock liveness guard) until an eligible envelope
-///   appears. Used by the threaded executor where sender and receiver run on
-///   different `qsim::pool` workers.
-pub struct ChannelTransport {
-    boxes: Vec<SpinLock<Mailbox>>,
-    epoch: AtomicU64,
-    latency: VTime,
-    wall_guard: Option<Duration>,
-}
-
-impl ChannelTransport {
-    /// Non-blocking transport over `nodes` mailboxes (see the type docs).
-    pub fn poll(nodes: usize) -> Self {
-        Self::build(nodes, None)
-    }
-
-    /// Blocking transport over `nodes` mailboxes; `guard` bounds the physical
-    /// wait of a single `recv` so a lost message cannot hang a worker.
-    pub fn blocking(nodes: usize, guard: Duration) -> Self {
-        Self::build(nodes, Some(guard))
-    }
-
-    fn build(nodes: usize, wall_guard: Option<Duration>) -> Self {
-        ChannelTransport {
-            boxes: (0..nodes)
-                .map(|_| SpinLock::new(Mailbox::fresh()))
-                .collect(),
-            epoch: AtomicU64::new(0),
-            latency: 0,
-            wall_guard,
-        }
-    }
-
-    /// Sets a uniform per-hop base latency (virtual ns).
-    pub fn with_latency(mut self, latency: VTime) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Number of mailboxes.
-    pub fn num_nodes(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Queues `env` for delivery at virtual instant `arrival`.
-    #[inline]
-    fn enqueue(&self, arrival: VTime, env: Envelope) {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let mut mbox = self.boxes[env.dst].lock();
-        mbox.sync(epoch);
-        mbox.push(arrival, env);
-    }
-
-    /// One non-blocking delivery attempt; loops internally past duplicates.
-    #[inline]
-    fn try_recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let mut mbox = self.boxes[node].lock();
-        mbox.sync(epoch);
-        mbox.take(node, deadline)
-    }
-}
-
-impl Transport for ChannelTransport {
-    #[inline]
-    fn send(&self, now: VTime, env: &Envelope, _ack_deadline: VTime) -> SendOutcome {
-        self.enqueue(now.saturating_add(self.latency), *env);
-        SendOutcome::Acked(now.saturating_add(2 * self.latency))
-    }
-
-    #[inline]
-    fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
-        match self.wall_guard {
-            None => self.try_recv(node, deadline),
-            Some(guard) => {
-                let give_up = Instant::now() + guard;
-                loop {
-                    if let RecvOutcome::Delivered(env, at) = self.try_recv(node, deadline) {
-                        return RecvOutcome::Delivered(env, at);
-                    }
-                    if Instant::now() >= give_up {
-                        return RecvOutcome::TimedOut;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
-
-    fn begin_trial(&self, _salt: u64) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn is_quiet(&self) -> bool {
-        // A raw channel perturbs nothing; a configured base latency delays
-        // (and therefore reorders against other transports), so it opts out.
-        self.latency == 0
-    }
-}
-
-/// Single-threaded channel transport: the mailbox semantics of
-/// [`ChannelTransport`] in poll mode with **no synchronisation** — mailboxes
-/// live in [`UnsafeCell`](std::cell::UnsafeCell)s, so the type is
-/// deliberately `!Sync` and can only back the sequential round driver.
-///
-/// This is the scratch transport of the batched fault-sweep engine: each
-/// `qsim::pool` worker owns one exclusively, so the per-message atomic
-/// acquire/release pairs of the shared transport are pure overhead there —
-/// dropping them roughly halves the zero-fault round cost.
+/// `recv` polls: it returns [`RecvOutcome::TimedOut`] immediately when
+/// nothing eligible is queued. That is correct for the sequential driver,
+/// which runs nodes in schedule order, so every expected message is already
+/// enqueued when its receiver runs. Latency and every other fault come from
+/// wrapping it in a [`FaultyTransport`].
 pub struct LocalChannelTransport {
-    boxes: Vec<std::cell::UnsafeCell<Mailbox>>,
-    epoch: std::cell::Cell<u64>,
+    boxes: Vec<UnsafeCell<Mailbox>>,
+    epoch: Cell<u64>,
 }
 
 impl LocalChannelTransport {
@@ -550,9 +379,9 @@ impl LocalChannelTransport {
     pub fn poll(nodes: usize) -> Self {
         LocalChannelTransport {
             boxes: (0..nodes)
-                .map(|_| std::cell::UnsafeCell::new(Mailbox::fresh()))
+                .map(|_| UnsafeCell::new(Mailbox::fresh()))
                 .collect(),
-            epoch: std::cell::Cell::new(0),
+            epoch: Cell::new(0),
         }
     }
 
@@ -1016,7 +845,7 @@ mod tests {
 
     #[test]
     fn channel_delivers_in_arrival_order() {
-        let t = ChannelTransport::poll(2);
+        let t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         // Same arrival time: FIFO by enqueue order.
         assert_eq!(
@@ -1039,7 +868,13 @@ mod tests {
 
     #[test]
     fn late_arrivals_wait_for_an_extended_deadline() {
-        let t = ChannelTransport::poll(2).with_latency(100);
+        let t = FaultyTransport::new(
+            LocalChannelTransport::poll(2),
+            FaultPlan {
+                latency_base: 100,
+                ..FaultPlan::default()
+            },
+        );
         t.begin_trial(1);
         t.send(0, &env(0, 1, 0, 7), VTime::MAX);
         assert_eq!(t.recv(1, 50), RecvOutcome::TimedOut);
@@ -1051,7 +886,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_discarded_by_seq_dedup() {
-        let t = ChannelTransport::poll(2);
+        let t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         let mut e = env(0, 1, 5, 99);
         t.send(0, &e, VTime::MAX);
@@ -1063,7 +898,7 @@ mod tests {
 
     #[test]
     fn begin_trial_clears_mailboxes_lazily() {
-        let t = ChannelTransport::poll(2);
+        let t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         t.send(0, &env(0, 1, 0, 1), VTime::MAX);
         t.begin_trial(2);
@@ -1075,7 +910,7 @@ mod tests {
 
     #[test]
     fn unequal_latency_reorders_messages() {
-        let inner = ChannelTransport::poll(3);
+        let inner = LocalChannelTransport::poll(3);
         let plan = FaultPlan {
             latency_base: 0,
             latency_jitter: 1 << 20,
@@ -1101,7 +936,7 @@ mod tests {
 
     #[test]
     fn drop_rate_one_loses_everything_and_is_deterministic() {
-        let t = FaultyTransport::new(ChannelTransport::poll(2), FaultPlan::with_drop(1.0));
+        let t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
         t.begin_trial(7);
         assert_eq!(t.send(0, &env(0, 1, 0, 1), VTime::MAX), SendOutcome::Lost);
         assert_eq!(t.recv(1, VTime::MAX), RecvOutcome::TimedOut);
@@ -1117,7 +952,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let run = |salt: u64| -> Vec<SendOutcome> {
-            let t = FaultyTransport::new(ChannelTransport::poll(4), plan.clone());
+            let t = FaultyTransport::new(LocalChannelTransport::poll(4), plan.clone());
             t.begin_trial(salt);
             (0..32)
                 .map(|i| t.send(0, &env(i % 3, 3, i as u32, i as u64), VTime::MAX))
@@ -1137,7 +972,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(ChannelTransport::poll(2), plan);
+        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         t.begin_trial(1);
         assert!(matches!(
             t.send(50, &env(0, 1, 0, 1), VTime::MAX),
@@ -1161,7 +996,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(ChannelTransport::poll(3), plan);
+        let t = FaultyTransport::new(LocalChannelTransport::poll(3), plan);
         t.begin_trial(1);
         assert_eq!(t.node_down_until(1, 500), Some(1000));
         assert_eq!(t.node_down_until(1, 1000), None);
@@ -1181,7 +1016,7 @@ mod tests {
             ack_drop_rate: 0.8,
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(ChannelTransport::poll(2), plan);
+        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         let policy = RetryPolicy {
             max_attempts: 16,
             ..RetryPolicy::default()
@@ -1207,7 +1042,7 @@ mod tests {
 
     #[test]
     fn robust_send_exhausts_and_reports_cause() {
-        let t = FaultyTransport::new(ChannelTransport::poll(2), FaultPlan::with_drop(1.0));
+        let t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
         t.begin_trial(3);
         let mut clock = 0;
         let err = robust_send(&t, &RetryPolicy::default(), 3, &mut clock, env(0, 1, 9, 0));
@@ -1228,7 +1063,7 @@ mod tests {
             latency_base: 10_000,
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(ChannelTransport::poll(2), plan);
+        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         t.begin_trial(1);
         let policy = RetryPolicy::default();
         t.send(0, &env(0, 1, 0, 42), VTime::MAX);
@@ -1240,20 +1075,5 @@ mod tests {
             robust_recv(&t, &policy, 1, 1, &mut clock2),
             Err(FaultCause::RecvTimeout { attempts: 5 })
         );
-    }
-
-    #[test]
-    fn blocking_recv_crosses_threads() {
-        use std::sync::Arc;
-        let t = Arc::new(ChannelTransport::blocking(2, Duration::from_secs(2)));
-        let t2 = Arc::clone(&t);
-        t.begin_trial(1);
-        let handle = std::thread::spawn(move || t2.recv(1, VTime::MAX));
-        std::thread::sleep(Duration::from_millis(20));
-        t.send(0, &env(0, 1, 0, 77), VTime::MAX);
-        match handle.join().expect("receiver thread") {
-            RecvOutcome::Delivered(e, _) => assert_eq!(e.payload, 77),
-            RecvOutcome::TimedOut => panic!("blocking recv missed the message"),
-        }
     }
 }

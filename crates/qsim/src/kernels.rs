@@ -31,8 +31,8 @@
 //!
 //! # Plans and shims (PR 5)
 //!
-//! All of the per-call metadata above — the [`TargetLayout`], the structural
-//! classification of the operator ([`OpData`]: dense / diagonal / monomial /
+//! All of the per-call metadata above — the `TargetLayout`, the structural
+//! classification of the operator (`OpData`: dense / diagonal / monomial /
 //! unit-phase-permutation / block-2 dispatch), class-projection gather maps
 //! and monomial trace index lists — is compiled once into a
 //! [`crate::plan::KernelPlan`] and the kernels proper are the `*_with`

@@ -1,7 +1,7 @@
 //! Compiled kernel plans: all per-call operator metadata, hoisted.
 //!
 //! Every kernel in [`crate::kernels`] needs the same derived data on every
-//! call — the strided [`TargetLayout`] of the targets inside the register,
+//! call — the strided `TargetLayout` of the targets inside the register,
 //! the structural classification of the operator (dense / diagonal /
 //! monomial / unit-phase permutation / block-2 dispatch), `S_k` digit-orbit
 //! class tables with their projection gather maps, monomial trace index

@@ -6,9 +6,10 @@
 //!
 //! * **Bit-identity** — the fault-free fleet reproduces the in-process
 //!   transport sampler's accept/reject decisions, unique message counts
-//!   and transcript digest exactly (the RNG stream-alignment contract of
-//!   `RoundProgram::fault_free_draws`; spurious retransmissions under
-//!   host load are deduplicated and tolerated);
+//!   and transcript digest exactly (every node process opens its own
+//!   `BlockRng::trial(t).node_rng(node)` stream, the same one the
+//!   sequential driver hands it; spurious retransmissions under host load
+//!   are deduplicated and tolerated);
 //! * **Crash-recovery** — killing a process mid-workload degrades the
 //!   affected trials to aborts (honest rounds never silently reject), the
 //!   supervisor restarts and re-handshakes the victim, and a subsequent

@@ -23,15 +23,14 @@ use commproto::fingerprint::FingerprintScheme;
 use dqma::chain::{cheating_proof, ChainCheat, SwapTestChain};
 use dqma::eq_path::EqPathProtocol;
 use dqma::eq_tree::EqTreeProtocol;
-use dqma::net::{self, run_round, run_round_threaded, RoundProgram};
+use dqma::net::{self, run_round, RoundProgram};
 use dqma::relay::RelayEqProtocol;
+use dqma::trials::BlockRng;
 use netsim::{
-    topology, ChannelTransport, CrashWindow, FaultCause, FaultPlan, PartitionWindow, RetryPolicy,
-    RoundOutcome, VTime,
+    topology, CrashWindow, FaultCause, FaultPlan, FaultyTransport, LocalChannelTransport,
+    PartitionWindow, RetryPolicy, RoundOutcome, VTime,
 };
 use qsim::{CMatrix, PureState};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 // Two-sided Hoeffding deviation at failure probability 1e-9: the shared
 // helper of `dqma::trials::stats`.
@@ -258,11 +257,9 @@ fn a_crashed_verifier_surfaces_a_fault_report_with_its_cause() {
         }],
         ..FaultPlan::none()
     };
-    let transport = net::blocking_transport(&program, plan.clone());
-    let mut rng = StdRng::seed_from_u64(0x1CE);
-    // Sequential driver over a poll transport.
-    let poll = netsim::FaultyTransport::new(ChannelTransport::poll(program.num_nodes()), plan);
-    let (outcome, _) = run_round(&program, &poll, &policy(), 77, &mut rng);
+    let transport = FaultyTransport::new(LocalChannelTransport::poll(program.num_nodes()), plan);
+    let trial = BlockRng::new(0x1CE, 0).trial(77);
+    let (outcome, _) = run_round(&program, &transport, &policy(), trial);
     match outcome {
         RoundOutcome::Aborted(report) => {
             assert!(
@@ -274,12 +271,6 @@ fn a_crashed_verifier_surfaces_a_fault_report_with_its_cause() {
         }
         other => panic!("expected an abort, got {other:?}"),
     }
-    // Threaded driver over the blocking transport reaches the same verdict.
-    let (outcome, _) = run_round_threaded(&program, &transport, &policy(), 77, 0x7EAD);
-    assert!(
-        outcome.is_aborted(),
-        "threaded driver must abort too: {outcome:?}"
-    );
 }
 
 /// Shared assertion for the abort-never-reject regression: on an honest
@@ -374,33 +365,6 @@ fn honest_instances_abort_never_reject_when_a_peer_dies_mid_round_for_all_four_p
         &program,
         &mid_round_kill(relay_point),
         0xD414,
-    );
-}
-
-#[test]
-fn threaded_driver_agrees_statistically_with_the_sequential_driver() {
-    // The two drivers consume RNG streams differently but draw from the
-    // same per-node Bernoulli distributions, so their accept rates must
-    // agree within Hoeffding margins on a fault-free transport.
-    let (chain, right_state) = orthogonal_chain(3);
-    let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
-    let exact = chain.acceptance_separable(&proof);
-    let program = chain.net_program(&proof);
-    let transport = net::blocking_transport(&program, FaultPlan::none());
-    let trials = 4_000u64;
-    let eps = hoeffding_margin(trials);
-    let mut accepts = 0u64;
-    for trial in 0..trials {
-        let (outcome, stats) =
-            run_round_threaded(&program, &transport, &policy(), trial, trial ^ 0x5EED);
-        assert!(!outcome.is_aborted(), "fault-free rounds never abort");
-        assert_eq!(stats.retries, 0);
-        accepts += u64::from(outcome.is_accept());
-    }
-    let rate = accepts as f64 / trials as f64;
-    assert!(
-        (rate - exact).abs() < eps,
-        "threaded driver rate {rate} vs exact {exact} (margin {eps})"
     );
 }
 
