@@ -13,7 +13,7 @@
 //! (`qsim::naive`) is reported as a third column.
 //!
 //! EQ-path rounds are simulated end to end through the pure-state fast path
-//! (`O(r·d)` per round), which reaches `r = 32`; the joint-state dense
+//! (`O(r·d)` per round), which reaches `r = 128`; the joint-state dense
 //! simulation — the only way to run a round before this layer existed — is
 //! `O(d^{3(2r−1)})` and is timed where feasible (`r ≤ 4`), reported as
 //! unreachable (`null`) beyond.
@@ -275,7 +275,7 @@ fn main() {
     let x = BitString::from_u64(3, 4);
     let y = BitString::from_u64(12, 4);
     let mut eq_path_max_r = 0usize;
-    for &r in &[2usize, 4, 8, 16, 32] {
+    for &r in &[2usize, 4, 8, 16, 32, 128] {
         // Chain and proof are prepared once outside both timing loops so the
         // fast and dense columns measure exactly the same work: one sampled
         // round on a fixed proof.
@@ -445,8 +445,9 @@ fn main() {
     };
     let mut trial_rows: Vec<TrialRow> = Vec::new();
 
-    // EQ-path trials (the r = 32 shape is the PR-4 acceptance gate).
-    for &r in &[8usize, 32] {
+    // EQ-path trials (the r = 32 shape is the PR-4 acceptance gate; r = 128
+    // runs the multi-word lane walk, two coin words per trial).
+    for &r in &[8usize, 32, 128] {
         let proto = EqPathProtocol::with_scheme(r, scheme.clone(), 1);
         let chain = proto.chain(&x, &y);
         let right_state = proto.one_way().alice_message(&y);

@@ -11,8 +11,10 @@
 //!    as `speedup_service_ceiling_margin = 3 · ns_engine / ns_service` so
 //!    `bench_compare` gates its trajectory; the in-bench hard ceiling is
 //!    3× that budget.
-//! 2. **Submit→done latency** — p50/p99 roundtrip over 160 one-block jobs,
-//!    gated as `speedup_p99_budget_margin = 250 ms / p99_ms`.
+//! 2. **Submit→done latency** — p50/p99 roundtrip over 160 sequential
+//!    32-block EQ-path `r = 64` jobs (two coin words per trial on the lane
+//!    walk), gated as `speedup_p50_budget_margin = 250 ms / p50_ms`; p99 is
+//!    committed alongside.
 //! 3. **Chaos under load** — a mixed concurrent workload (all three
 //!    protocols, aggressive deadlines, injected worker panics, raw-socket
 //!    disconnects, an overload flood against a short queue): the row

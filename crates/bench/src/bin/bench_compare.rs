@@ -13,8 +13,9 @@
 //! gated speedup column regresses by more than `threshold` (default 30%),
 //! or if a gated row or its speedup columns are missing from either file.
 //! Speedup columns are same-machine ratios, so they are the
-//! noise-insensitive quantity to track across PRs (absolute ns/op are not —
-//! see the methodology notes in ROADMAP.md).
+//! noise-insensitive quantity to track across PRs. Absolute ns/op are not:
+//! they move with the host and with its load from run to run, so this tool
+//! ignores them.
 
 use dqma_bench::json::{self, Parsed};
 use std::process::ExitCode;

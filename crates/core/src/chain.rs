@@ -622,13 +622,13 @@ impl SwapTestChain {
 /// Markov structure. The plan therefore precomputes, once per instance, a
 /// 4-entry probability table per node (indexed by the adjacent coin pair;
 /// the boundary measurement is a fifth pseudo-node depending on `c_{k−1}`
-/// alone). A sampled round is then: draw the coin word (one `u64`),
-/// accumulate the pattern-conditional acceptance `Π_j t_j(c)` by table
-/// lookups, and draw one accept Bernoulli against the product — identical in
-/// distribution to the per-node Bernoulli walk of
-/// [`SwapTestChain::simulate_round`] (a product of independent accepts
-/// conditioned on the same coins), but with **zero** per-round state
-/// preparation, allocation or overlap arithmetic.
+/// alone). A sampled round is then: draw the coin words (one `u64` per 63
+/// nodes, see [`qsim::simd::shift_coin_planes`]), accumulate the
+/// pattern-conditional acceptance `Π_j t_j(c)` by table lookups, and draw
+/// one accept Bernoulli against the product — identical in distribution to
+/// the per-node Bernoulli walk of [`SwapTestChain::simulate_round`] (a
+/// product of independent accepts conditioned on the same coins), but with
+/// **zero** per-round state preparation, allocation or overlap arithmetic.
 #[derive(Clone, Debug)]
 pub struct ChainRoundPlan {
     /// `4(k+1)` entries: node `j`'s acceptance at coin pair
@@ -637,42 +637,23 @@ pub struct ChainRoundPlan {
     tables: Vec<f64>,
     /// Number of intermediate nodes.
     k: usize,
-    /// Chunk-fused node tables for the lane walk (PR 7): chunk `c` covers
-    /// nodes `[qsim::simd::CHUNK_NODES·c, …)` and stores the pre-multiplied
-    /// product of its nodes' acceptances for every value of the
-    /// `m_c + 1`-bit selector window. Empty when `k > 62` (no single coin
-    /// word — the lane path falls back to the per-trial walk).
+    /// Chunk-fused node tables for the lane walk
+    /// ([`qsim::simd::fuse_chain_tables`]): one pre-multiplied table per
+    /// chunk of at most [`qsim::simd::CHUNK_NODES`] nodes, eight chunks per
+    /// coin word.
     fused: Vec<f64>,
     /// Per-chunk selector masks, `2^(m_c + 1) − 1`.
     chunk_masks: Vec<u64>,
 }
 
 impl ChainRoundPlan {
-    /// Builds a plan from its per-node tables, pre-fusing the chunked lane
-    /// tables when one coin word covers every node. Fusing multiplies each
-    /// chunk's node entries at compile time (ascending node order), so the
-    /// runtime walk does one table read per chunk instead of one per node.
+    /// Builds a plan from its per-node tables and pre-fuses the chunked lane
+    /// tables. Fusing multiplies each chunk's node entries at compile time
+    /// (ascending node order), so the runtime walk does one table read per
+    /// chunk instead of one per node.
     pub(crate) fn from_tables(tables: Vec<f64>, k: usize) -> ChainRoundPlan {
-        use qsim::simd::{CHUNK_NODES, CHUNK_STRIDE};
-        let (mut fused, mut chunk_masks) = (Vec::new(), Vec::new());
-        if k <= 62 {
-            let nodes = k + 1;
-            let nchunks = nodes.div_ceil(CHUNK_NODES);
-            fused = vec![0.0f64; nchunks * CHUNK_STRIDE];
-            chunk_masks = vec![0u64; nchunks];
-            for c in 0..nchunks {
-                let m = CHUNK_NODES.min(nodes - c * CHUNK_NODES);
-                chunk_masks[c] = (1u64 << (m + 1)) - 1;
-                for sel in 0..=chunk_masks[c] {
-                    let mut p = 1.0f64;
-                    for i in 0..m {
-                        let j = c * CHUNK_NODES + i;
-                        p *= tables[4 * j + ((sel >> i) & 3) as usize];
-                    }
-                    fused[c * CHUNK_STRIDE + sel as usize] = p;
-                }
-            }
-        }
+        assert_eq!(tables.len(), 4 * (k + 1), "one 4-entry table per node");
+        let (fused, chunk_masks) = qsim::simd::fuse_chain_tables(&tables);
         ChainRoundPlan {
             tables,
             k,
@@ -702,32 +683,35 @@ impl ChainRoundPlan {
         self.tables[4 * j + idx]
     }
 
+    /// Coin words one round draws: `⌈(k + 1) / 63⌉`.
+    #[inline]
+    pub(crate) fn coin_words(&self) -> usize {
+        (self.k + 1).div_ceil(qsim::simd::WORD_NODES)
+    }
+
     /// Draws one round's symmetrisation coins from `rng` and returns the
     /// coin-conditional acceptance probability `Π_j t_j(c)` — the chain's
     /// contribution to a round accept draw. Exposed so multi-segment
     /// protocols (relay) can combine several chains into a single Bernoulli.
+    ///
+    /// Draws `⌈(k + 1) / 63⌉` coin words and walks them in the lane walk's
+    /// layout ([`qsim::simd::shift_coin_planes`]): node `63w + i`'s table
+    /// index is `(aug_w >> i) & 3`.
     #[inline]
     pub fn round_weight<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.k <= 62 {
-            // All coins in one word, pre-shifted so bit j of `aug` is
-            // c_{j−1} and bit j+1 is c_j: node j's table index is
-            // `(aug >> j) & 3`.
-            let aug = rng.random::<u64>() << 1;
-            let mut w = 1.0;
-            for j in 0..=self.k {
-                w *= self.tables[4 * j + ((aug >> j) & 3) as usize];
+        use qsim::simd::WORD_NODES;
+        let nodes = self.k + 1;
+        let mut w = 1.0;
+        let mut carry = 0u64;
+        for first in (0..nodes).step_by(WORD_NODES) {
+            let raw = rng.random::<u64>();
+            let aug = (raw << 1) | carry;
+            carry = (raw >> 62) & 1;
+            for j in first..nodes.min(first + WORD_NODES) {
+                w *= self.tables[4 * j + ((aug >> (j - first)) & 3) as usize];
             }
-            w
-        } else {
-            let mut prev = 0usize;
-            let mut w = 1.0;
-            for j in 0..self.k {
-                let cur = usize::from(rng.random::<bool>());
-                w *= self.tables[4 * j + prev + 2 * cur];
-                prev = cur;
-            }
-            w * self.tables[4 * self.k + prev]
         }
+        w
     }
 
     /// Samples one round: coins, conditional product, one accept draw.
@@ -737,22 +721,16 @@ impl ChainRoundPlan {
         rng.random::<f64>() < w
     }
 
-    /// Whether one pre-shifted coin word covers every node (`k ≤ 62`) — the
-    /// precondition of [`ChainRoundPlan::lane_walk`].
-    #[inline]
-    pub(crate) fn single_coin_word(&self) -> bool {
-        self.k <= 62
-    }
-
-    /// Lane walk over the chunk-fused tables: `acc[i] = Π_j t_j(aug[i])` for
-    /// a lane batch of pre-shifted coin words — the vectorisable core shared
-    /// with the relay plan, which multiplies one walk per segment into a
-    /// round. The fused product groups nodes in chunks (same grouping on the
-    /// scalar and AVX2 paths, so accept draws stay bit-identical across
-    /// them), which rounds differently in the last ulp than the per-node
-    /// walk of [`ChainRoundPlan::round_weight`] — the engine's accept counts
-    /// are pinned across lane widths, workers and SIMD paths, not against
-    /// the serial sampler.
+    /// Lane walk over the chunk-fused tables: `acc[i] = Π_j t_j(aug)` for a
+    /// lane batch of plane-major pre-shifted coin words
+    /// ([`ChainRoundPlan::coin_words`] planes of `acc.len()` lanes) — the
+    /// vectorisable core shared with the relay plan, which multiplies one
+    /// walk per segment into a round. The fused product groups nodes in
+    /// chunks (same grouping on the scalar and AVX2 paths, so accept draws
+    /// stay bit-identical across them), which rounds differently in the last
+    /// ulp than the per-node walk of [`ChainRoundPlan::round_weight`] — the
+    /// engine's accept counts are pinned across lane widths, workers and
+    /// SIMD paths, and statistically against the serial sampler.
     #[inline]
     pub(crate) fn lane_walk(&self, aug: &[u64], acc: &mut [f64]) {
         qsim::simd::fused_lane_walk(&self.fused, &self.chunk_masks, aug, acc);
@@ -765,32 +743,26 @@ impl LaneBatched for ChainRoundPlan {
             (1..=MAX_LANES).contains(&lanes),
             "lane width {lanes} outside 1..={MAX_LANES}"
         );
-        if self.k > 62 {
-            // Coins exceed one word: per-trial scalar walk. Each trial still
-            // owns its counter stream, so the fallback is lane-width- and
-            // worker-invariant by the same argument as the lane path.
-            return (0..trials)
-                .filter(|&t| self.round(&mut stream.trial_rng(t)))
-                .count() as u64;
-        }
-        // SoA-across-trials lane walk: each lane holds one trial's coin word
-        // (pre-shifted; see `round_weight`), accept draw and acceptance
-        // accumulator. Trial t's draws come from its own counter stream —
-        // coin word first, accept draw second — so the planes are identical
-        // however trials are grouped, and `qsim::simd` executes the table
-        // walk four lanes per instruction when the AVX2 path is selected.
-        let mut aug = [0u64; MAX_LANES];
+        // SoA-across-trials lane walk: each lane holds one trial's coin
+        // words (plane-major, pre-shifted; see `round_weight`), accept draw
+        // and acceptance accumulator. Trial t's draws come from its own
+        // counter stream — coin words first, accept draw last — so the
+        // planes are identical however trials are grouped, and `qsim::simd`
+        // executes the table walk four lanes per instruction when the AVX2
+        // path is selected. The planes live in one heap strip allocated
+        // once per 8192-trial block.
+        let words = self.coin_words();
+        let mut aug = vec![0u64; words * lanes];
         let mut draw = [0.0f64; MAX_LANES];
         let mut acc = [0.0f64; MAX_LANES];
         let mut accepts = 0u64;
         let mut t = 0u64;
         while t < trials {
             let l = (lanes as u64).min(trials - t) as usize;
-            stream.fill_lane_streams(t, &mut aug[..l], &mut draw[..l]);
-            for a in &mut aug[..l] {
-                *a <<= 1;
-            }
-            self.lane_walk(&aug[..l], &mut acc[..l]);
+            let planes = &mut aug[..words * l];
+            stream.fill_lane_streams(t, planes, &mut draw[..l]);
+            qsim::simd::shift_coin_planes(planes, l);
+            self.lane_walk(planes, &mut acc[..l]);
             accepts += qsim::simd::count_accepts(&draw[..l], &acc[..l]);
             t += l as u64;
         }
@@ -1238,6 +1210,33 @@ mod tests {
         let chain = SwapTestChain::new(1, left, effect);
         let report = chain.sample_rounds(&Vec::new(), 1000, 5);
         assert_eq!(report.accepts, 1000, "matching boundary always accepts");
+    }
+
+    #[test]
+    fn lane_walk_reads_the_round_walks_stream_positions() {
+        // `round` and the lane walk draw the same coin words, then the
+        // accept draw, from each trial's counter stream, so on the same
+        // streams they accept the same trials: the fused chunk products
+        // differ from the node-by-node product only in the last ulp.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(17);
+        for k in [0usize, 5, 61, 62, 63, 64, 125, 126, 200] {
+            let tables: Vec<f64> = (0..4 * (k + 1))
+                .map(|_| 0.97 + 0.03 * rng.random::<f64>())
+                .collect();
+            let plan = ChainRoundPlan::from_tables(tables, k);
+            assert_eq!(plan.coin_words(), (k + 1).div_ceil(63));
+            let stream = BlockRng::new(k as u64, 1);
+            let n = trials::BLOCK_TRIALS;
+            let walk = (0..n)
+                .filter(|&t| plan.round(&mut stream.trial_rng(t)))
+                .count() as u64;
+            assert!(walk > 0 && walk < n, "k = {k}: degenerate rate");
+            for lanes in [1, 7, 32] {
+                assert_eq!(plan.sample_lane_block(n, &stream, lanes), walk, "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -306,8 +306,9 @@ impl NoisyChainSampler {
     /// # Panics
     ///
     /// Panics if the proof does not match the chain, or if the plan is
-    /// noisy and `k > 62` (the noisy walk shares the single-coin-word
-    /// regime of the lane engine).
+    /// noisy and `k > 62`: the noisy walk draws all of a trial's coins from
+    /// one word, with the noise-free schedule's first draw. (The noise-free
+    /// lane walk of a quiet plan covers every chain length.)
     pub fn new(chain: &SwapTestChain, proof: &SeparableChainProof, plan: &NoisePlan) -> Self {
         let inner = chain.round_plan(proof);
         let k = chain.num_intermediate();
@@ -346,7 +347,7 @@ impl NoisyChainSampler {
         }
         assert!(
             k <= 62,
-            "noisy sampling covers the single-coin-word regime (k <= 62), got k = {k}"
+            "noisy sampling draws its coins from one word (k <= 62), got k = {k}"
         );
         let left_amps = chain.left_state().amplitudes();
         let left = branch_set(left_amps, plan.message, d);

@@ -397,21 +397,14 @@ impl LaneBatched for RelayRoundPlan {
             (1..=MAX_LANES).contains(&lanes),
             "lane width {lanes} outside 1..={MAX_LANES}"
         );
-        if self.segments.iter().any(|s| !s.single_coin_word()) {
-            // Some segment's coins exceed one word: per-trial scalar walk on
-            // per-trial counter streams — grouping-invariant by construction.
-            return (0..trials)
-                .filter(|&t| self.round(&mut stream.trial_rng(t)))
-                .count() as u64;
-        }
-        // SoA lane walk: one pre-shifted coin-word plane per segment (drawn
-        // in segment order per trial, then the accept draw, matching
-        // `round`'s stream layout), one lane walk per segment multiplied
-        // into the round accumulator. The per-segment planes live in one
-        // heap strip sized `segments × lanes` — allocated once per
-        // 8192-trial block, amortised to nothing.
-        let nseg = self.segments.len();
-        let mut aug = vec![0u64; nseg * lanes];
+        // SoA lane walk: each segment's coin-word planes (drawn in segment
+        // order per trial, then the accept draw, matching `round`'s stream
+        // layout), one lane walk per segment multiplied into the round
+        // accumulator. The planes live in one heap strip sized
+        // `Σ words × lanes` — allocated once per 8192-trial block,
+        // amortised to nothing.
+        let total: usize = self.segments.iter().map(ChainRoundPlan::coin_words).sum();
+        let mut aug = vec![0u64; total * lanes];
         let mut draw = [0.0f64; MAX_LANES];
         let mut acc = [0.0f64; MAX_LANES];
         let mut seg_acc = [0.0f64; MAX_LANES];
@@ -419,18 +412,19 @@ impl LaneBatched for RelayRoundPlan {
         let mut t = 0u64;
         while t < trials {
             let l = (lanes as u64).min(trials - t) as usize;
-            // One fused fill per batch: `nseg` plane-major coin-word planes
+            // One fused fill per batch: `total` plane-major coin-word planes
             // (stride `l`, segment order) then the accept plane — exactly
             // `round`'s per-trial stream layout.
-            stream.fill_lane_streams(t, &mut aug[..nseg * l], &mut draw[..l]);
-            for a in &mut aug[..nseg * l] {
-                *a <<= 1;
-            }
+            stream.fill_lane_streams(t, &mut aug[..total * l], &mut draw[..l]);
             acc[..l].fill(1.0);
-            for (s, seg) in self.segments.iter().enumerate() {
-                seg.lane_walk(&aug[s * l..(s + 1) * l], &mut seg_acc[..l]);
-                for (a, &w) in acc[..l].iter_mut().zip(&seg_acc[..l]) {
-                    *a *= w;
+            let mut rest = &mut aug[..total * l];
+            for seg in &self.segments {
+                let (planes, tail) = rest.split_at_mut(seg.coin_words() * l);
+                rest = tail;
+                qsim::simd::shift_coin_planes(planes, l);
+                seg.lane_walk(planes, &mut seg_acc[..l]);
+                for (a, &p) in acc[..l].iter_mut().zip(&seg_acc[..l]) {
+                    *a *= p;
                 }
             }
             accepts += qsim::simd::count_accepts(&draw[..l], &acc[..l]);
@@ -453,6 +447,29 @@ impl BatchSampler for RelayRoundPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_walk_reads_the_round_walks_stream_positions() {
+        // Segments of 70 and 30 edges draw two coin words and one, in
+        // segment order, then the accept draw: the lane walk and `round`
+        // accept the same trials on the same streams.
+        let proto = RelayEqProtocol::with_spacing(4, 100, 70, 3);
+        let x = BitString::from_u64(11, 4);
+        let y = BitString::from_u64(4, 4);
+        let relays = [BitString::from_u64(6, 4)];
+        let plan = proto.round_plan(&x, &y, &relays, ChainCheat::Interpolate);
+        let words: Vec<usize> = plan.segments.iter().map(|s| s.coin_words()).collect();
+        assert_eq!(words, [2, 1]);
+        let stream = BlockRng::new(5, 2);
+        let n = trials::BLOCK_TRIALS;
+        let walk = (0..n)
+            .filter(|&t| plan.round(&mut stream.trial_rng(t)))
+            .count() as u64;
+        assert!(walk > 0 && walk < n, "degenerate rate");
+        for lanes in [1, 7, 32] {
+            assert_eq!(plan.sample_lane_block(n, &stream, lanes), walk);
+        }
+    }
 
     #[test]
     fn relay_points_are_spaced_correctly() {

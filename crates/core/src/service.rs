@@ -25,7 +25,14 @@
 //!   jobs re-enqueue, and journaled blocks seed the block memo so resumed
 //!   work is **bit-identical** to an uninterrupted run (the block
 //!   determinism contract: a block's accept count is a pure function of
-//!   `(instance, seed, block)`).
+//!   `(instance, seed, block)`). Every start appends a `hdr` line naming
+//!   [`crate::trials::BLOCK_CONTRACT`]; a journaled block count is replayed
+//!   only under a header of the current contract, and is otherwise counted
+//!   in [`StatsSnapshot::refused_blocks`] and resampled.
+//! * **Bounded job table** — the service keeps the most recent 4096
+//!   finished jobs (evicted oldest first, in completion order, also on
+//!   replay); a status query for an older id is an unknown job. Queued and
+//!   running jobs are never evicted, and the counters stay exact.
 //! * **Shared trial blocks** — concurrent or repeated requests for the same
 //!   `(instance, seed)` are merged at block granularity through an
 //!   in-memory memo (bounded, FIFO-evicted): a block sampled for one job is
@@ -45,7 +52,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,7 +69,9 @@ use crate::cluster::Tokens;
 use crate::eq_path::EqPathProtocol;
 use crate::eq_tree::{EqTreeProtocol, TreeRoundPlan};
 use crate::relay::{RelayEqProtocol, RelayRoundPlan};
-use crate::trials::{run_trials_observed, stats, BatchSampler, BlockRng, BLOCK_TRIALS};
+use crate::trials::{
+    run_trials_observed, stats, BatchSampler, BlockRng, BLOCK_CONTRACT, BLOCK_TRIALS,
+};
 
 pub mod http;
 pub mod json;
@@ -829,6 +838,9 @@ pub struct StatsSnapshot {
     pub resumed: u64,
     /// Blocks served from the shared memo instead of resampled.
     pub memo_hits: u64,
+    /// Journaled block counts refused at recovery because no header of the
+    /// current [`BLOCK_CONTRACT`] precedes them; their blocks are resampled.
+    pub refused_blocks: u64,
 }
 
 #[derive(Default)]
@@ -840,6 +852,7 @@ struct Stats {
     failed: AtomicU64,
     resumed: AtomicU64,
     memo_hits: AtomicU64,
+    refused_blocks: AtomicU64,
 }
 
 impl Stats {
@@ -852,9 +865,25 @@ impl Stats {
             failed: self.failed.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            refused_blocks: self.refused_blocks.load(Ordering::Relaxed),
         }
     }
+
+    /// Counts a job that just reached the terminal `status`.
+    fn count_terminal(&self, status: &JobStatus) {
+        let counter = match status {
+            JobStatus::Done(r) if r.partial => &self.partial,
+            JobStatus::Done(_) => &self.completed,
+            _ => &self.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
+
+/// Finished jobs kept queryable (see the module docs). At a few hundred
+/// bytes per job this holds the table to a few MiB however long the
+/// service runs.
+const RETAINED_JOBS: usize = 4096;
 
 struct Job {
     spec: JobSpec,
@@ -866,11 +895,34 @@ struct Job {
 struct State {
     queue: VecDeque<JobId>,
     jobs: BTreeMap<JobId, Job>,
+    /// Terminal job ids in completion order, oldest first.
+    finished: VecDeque<JobId>,
     plans: HashMap<u64, Arc<CompiledPlan>>,
     memo: HashMap<(u64, u64, u64), u64>,
     memo_order: VecDeque<(u64, u64, u64)>,
     next_id: JobId,
     shutdown: bool,
+}
+
+impl State {
+    /// Moves live job `id` to the terminal `status`, counts it, and evicts
+    /// the oldest finished jobs beyond [`RETAINED_JOBS`]. A job that is
+    /// unknown or already terminal is left as it is.
+    fn finish(&mut self, stats: &Stats, id: JobId, status: JobStatus) {
+        match self.jobs.get_mut(&id) {
+            Some(job) if !job.status.is_terminal() => {
+                stats.count_terminal(&status);
+                job.status = status;
+            }
+            _ => return,
+        }
+        self.finished.push_back(id);
+        while self.finished.len() > RETAINED_JOBS {
+            if let Some(old) = self.finished.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -923,7 +975,8 @@ pub struct Service {
 
 impl Service {
     /// Starts the service: replays the journal (if configured), re-enqueues
-    /// unfinished jobs, and spawns the worker threads.
+    /// unfinished jobs, appends a block-contract header, and spawns the
+    /// worker threads.
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
         let mut st = State::default();
         let stats = Stats::default();
@@ -932,7 +985,23 @@ impl Service {
             if path.exists() {
                 recover(&mut st, &stats, path, cfg.memo_capacity)?;
             }
-            journal_file = Some(OpenOptions::new().create(true).append(true).open(path)?);
+            let mut f = OpenOptions::new()
+                .create(true)
+                .read(true)
+                .append(true)
+                .open(path)?;
+            // End a torn final line first, so the header is a line of its own.
+            if f.metadata()?.len() > 0 {
+                let mut last = [0u8];
+                f.seek(SeekFrom::End(-1))?;
+                f.read_exact(&mut last)?;
+                if last[0] != b'\n' {
+                    writeln!(f)?;
+                }
+            }
+            writeln!(f, "hdr {BLOCK_CONTRACT}")?;
+            f.flush()?;
+            journal_file = Some(f);
         }
         let shared = Arc::new(Shared {
             cfg,
@@ -1069,7 +1138,9 @@ impl Drop for Service {
 
 /// Replays an append-only journal into fresh state. Tolerant of a torn
 /// final line (the crash case) and of unknown/corrupt lines: recovery
-/// prefers resampling over refusing to start.
+/// prefers resampling over refusing to start. A `blk` line is replayed only
+/// when the nearest `hdr` line before it names the current
+/// [`BLOCK_CONTRACT`]; otherwise it is counted as refused.
 fn recover(
     st: &mut State,
     stats: &Stats,
@@ -1077,6 +1148,8 @@ fn recover(
     memo_cap: usize,
 ) -> io::Result<()> {
     let reader = BufReader::new(File::open(path)?);
+    let mut trusted = false;
+    let mut replayed = 0u64;
     for line in reader.lines() {
         let line = match line {
             Ok(l) => l,
@@ -1084,6 +1157,7 @@ fn recover(
         };
         let mut tok = Tokens::new(&line);
         match tok.next_str() {
+            Some("hdr") => trusted = tok.u64() == Ok(BLOCK_CONTRACT),
             Some("job") => {
                 let Ok(id) = tok.u64() else { continue };
                 let rest = line
@@ -1094,14 +1168,14 @@ fn recover(
                     continue;
                 };
                 st.next_id = st.next_id.max(id + 1);
-                st.jobs.insert(
-                    id,
-                    Job {
-                        spec,
-                        submitted: Instant::now(),
-                        status: JobStatus::Queued,
-                    },
-                );
+                let job = Job {
+                    spec,
+                    submitted: Instant::now(),
+                    status: JobStatus::Queued,
+                };
+                if st.jobs.insert(id, job).is_none() {
+                    replayed += 1;
+                }
             }
             Some("blk") => {
                 let (Ok(key), Ok(seed), Ok(block), Ok(accepts)) =
@@ -1109,6 +1183,10 @@ fn recover(
                 else {
                     continue;
                 };
+                if !trusted {
+                    stats.refused_blocks.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
                 let k = (key, seed, block);
                 if st.memo.insert(k, accepts).is_none() {
                     st.memo_order.push_back(k);
@@ -1125,31 +1203,33 @@ fn recover(
                 else {
                     continue;
                 };
-                if let Some(job) = st.jobs.get_mut(&id) {
-                    job.status = JobStatus::Done(JobReport {
-                        requested: job.spec.trials,
-                        completed,
-                        accepts,
-                        partial: partial != 0,
-                        elapsed: Duration::from_millis(elapsed_ms),
-                    });
-                }
+                let Some(requested) = st.jobs.get(&id).map(|j| j.spec.trials) else {
+                    continue;
+                };
+                let report = JobReport {
+                    requested,
+                    completed,
+                    accepts,
+                    partial: partial != 0,
+                    elapsed: Duration::from_millis(elapsed_ms),
+                };
+                st.finish(stats, id, JobStatus::Done(report));
             }
             Some("fail") => {
                 let Ok(id) = tok.u64() else { continue };
-                if let Some(job) = st.jobs.get_mut(&id) {
-                    let msg = line
-                        .splitn(3, char::is_whitespace)
-                        .nth(2)
-                        .unwrap_or("unknown failure");
-                    job.status = JobStatus::Failed(msg.to_string());
-                }
+                let msg = line
+                    .splitn(3, char::is_whitespace)
+                    .nth(2)
+                    .unwrap_or("unknown failure");
+                st.finish(stats, id, JobStatus::Failed(msg.to_string()));
             }
             _ => {}
         }
     }
     // Re-enqueue unfinished jobs in admission order: the journal is the
-    // source of truth for what was promised.
+    // source of truth for what was promised. Terminal jobs were counted as
+    // they were replayed (some may since have been evicted), so the books
+    // balance: `submitted = completed + partial + failed + live`.
     let unfinished: Vec<JobId> = st
         .jobs
         .iter()
@@ -1159,20 +1239,7 @@ fn recover(
     stats
         .resumed
         .fetch_add(unfinished.len() as u64, Ordering::Relaxed);
-    stats
-        .submitted
-        .fetch_add(st.jobs.len() as u64, Ordering::Relaxed);
-    // Replayed terminal jobs keep the books balanced:
-    // `submitted = completed + partial + failed + live`.
-    for job in st.jobs.values() {
-        let counter = match &job.status {
-            JobStatus::Done(r) if r.partial => &stats.partial,
-            JobStatus::Done(_) => &stats.completed,
-            JobStatus::Failed(_) => &stats.failed,
-            _ => continue,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+    stats.submitted.fetch_add(replayed, Ordering::Relaxed);
     st.queue.extend(unfinished);
     Ok(())
 }
@@ -1199,7 +1266,7 @@ fn worker_loop(shared: &Shared) {
         let result = catch_unwind(AssertUnwindSafe(|| run_job(shared, id, &spec, submitted)));
         {
             let mut st = shared.lock();
-            match result {
+            let status = match result {
                 Ok(report) => {
                     shared.journal_line(&format!(
                         "done {id} {} {} {} {}",
@@ -1208,24 +1275,15 @@ fn worker_loop(shared: &Shared) {
                         report.partial as u64,
                         report.elapsed.as_millis()
                     ));
-                    if report.partial {
-                        shared.stats.partial.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(job) = st.jobs.get_mut(&id) {
-                        job.status = JobStatus::Done(report);
-                    }
+                    JobStatus::Done(report)
                 }
                 Err(panic) => {
                     let msg = panic_message(panic.as_ref());
                     shared.journal_line(&format!("fail {id} {msg}"));
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(job) = st.jobs.get_mut(&id) {
-                        job.status = JobStatus::Failed(msg);
-                    }
+                    JobStatus::Failed(msg)
                 }
-            }
+            };
+            st.finish(&shared.stats, id, status);
         }
         shared.done_cv.notify_all();
     }
@@ -1384,7 +1442,8 @@ pub fn status_json(id: JobId, status: &JobStatus) -> String {
 ///
 /// * `POST /v1/jobs` — submit; `202 {"job":id}`, `503` overloaded,
 ///   `400` invalid.
-/// * `GET /v1/jobs/<id>` — status; `200` (see [`status_json`]) or `404`.
+/// * `GET /v1/jobs/<id>` — status; `200` (see [`status_json`]) or `404`
+///   (unknown, or finished longer ago than the retention bound).
 /// * `GET /v1/healthz` — liveness + counters.
 pub fn route(svc: &Service, method: &str, path: &str, body: &str) -> (u16, String) {
     match (method, path) {
@@ -1430,7 +1489,7 @@ pub fn route(svc: &Service, method: &str, path: &str, body: &str) -> (u16, Strin
                 format!(
                     "{{\"ok\":true,\"queue_len\":{},\"memo_len\":{},\"stats\":{{\
                      \"submitted\":{},\"shed\":{},\"completed\":{},\"partial\":{},\
-                     \"failed\":{},\"resumed\":{},\"memo_hits\":{}}}}}",
+                     \"failed\":{},\"resumed\":{},\"memo_hits\":{},\"refused_blocks\":{}}}}}",
                     svc.queue_len(),
                     svc.memo_len(),
                     s.submitted,
@@ -1439,7 +1498,8 @@ pub fn route(svc: &Service, method: &str, path: &str, body: &str) -> (u16, Strin
                     s.partial,
                     s.failed,
                     s.resumed,
-                    s.memo_hits
+                    s.memo_hits,
+                    s.refused_blocks
                 ),
             )
         }
@@ -1825,37 +1885,55 @@ mod tests {
         svc.shutdown();
     }
 
-    #[test]
-    fn journal_recovery_resumes_bit_identically_and_reuses_blocks() {
-        let dir = std::env::temp_dir().join(format!("dqma-svc-test-{}", std::process::id()));
+    /// A scratch journal path unique to this process and `name`.
+    fn journal_path(name: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("dqma-svc-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("journal.log");
         let _ = std::fs::remove_file(&path);
+        (dir, path)
+    }
 
-        let spec = small_job(5 * BLOCK_TRIALS + 99, 123);
-        let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, 123, 1);
-
-        // Fabricate the journal of a crashed server: the job was admitted
-        // and three full blocks were journaled before the "crash" (plus a
-        // torn final line, which recovery must tolerate). Two earlier jobs
-        // had already finished: one partial, one failed.
+    /// The journal of a crashed server, opened by `header` (if any): job 7
+    /// was admitted and three full blocks were journaled before the
+    /// "crash" (plus a torn final line, which recovery must tolerate). Two
+    /// earlier jobs had already finished: one partial, one failed.
+    fn crashed_journal(spec: &JobSpec, header: Option<String>) -> String {
         let plan = spec.instance.compile();
         let key = spec.instance.key();
         let earlier = small_job(2 * BLOCK_TRIALS, 5).encode();
-        let mut lines = vec![
+        let mut lines: Vec<String> = header.into_iter().collect();
+        lines.extend([
             format!("job 5 {earlier}"),
             format!("done 5 {BLOCK_TRIALS} 100 1 30"),
             format!("job 6 {earlier}"),
             "fail 6 injected panic at block 0".to_string(),
             format!("job 7 {}", spec.encode()),
-        ];
+        ]);
         for b in 0..3u64 {
-            let a = plan.sample_block(BLOCK_TRIALS, &mut (), &BlockRng::new(123, b));
-            lines.push(format!("blk {key:016x} 123 {b} {a}"));
+            let a = plan.sample_block(BLOCK_TRIALS, &mut (), &BlockRng::new(spec.seed, b));
+            lines.push(format!("blk {key:016x} {} {b} {a}", spec.seed));
         }
         let mut text = lines.join("\n");
         text.push_str("\nblk 00ff");
-        std::fs::write(&path, text).unwrap();
+        text
+    }
+
+    /// Asserts `submitted = completed + partial + failed` as (3, 1, 1, 1).
+    fn balanced(s: StatsSnapshot) {
+        assert_eq!(
+            (s.submitted, s.completed, s.partial, s.failed),
+            (3, 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn journal_recovery_resumes_bit_identically_and_reuses_blocks() {
+        let (dir, path) = journal_path("resume");
+        let spec = small_job(5 * BLOCK_TRIALS + 99, 123);
+        let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, 123, 1);
+        let header = format!("hdr {BLOCK_CONTRACT}");
+        std::fs::write(&path, crashed_journal(&spec, Some(header))).unwrap();
 
         let svc = Service::start(ServiceConfig {
             workers: 1,
@@ -1878,17 +1956,13 @@ mod tests {
             3,
             "journaled blocks are not resampled"
         );
-        let balanced = |s: StatsSnapshot| {
-            assert_eq!(
-                (s.submitted, s.completed, s.partial, s.failed),
-                (3, 1, 1, 1)
-            );
-        };
+        assert_eq!(svc.stats().refused_blocks, 0);
         balanced(svc.stats());
         svc.shutdown();
 
-        // Second restart: the finished job is still queryable and nothing
-        // re-runs.
+        // Second restart: the finished job is still queryable, nothing
+        // re-runs, and the blocks journaled after the torn line sit under
+        // the header the first restart appended.
         let svc2 = Service::start(ServiceConfig {
             workers: 1,
             journal: Some(path),
@@ -1896,12 +1970,105 @@ mod tests {
         })
         .unwrap();
         assert_eq!(svc2.stats().resumed, 0);
+        assert_eq!(svc2.stats().refused_blocks, 0);
         let JobStatus::Done(r2) = svc2.status(7).unwrap() else {
             panic!("done status must survive restart");
         };
         assert_eq!(r2.accepts, reference.accepts);
         balanced(svc2.stats());
         svc2.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_blocks_of_another_contract_are_refused_and_resampled() {
+        let spec = small_job(5 * BLOCK_TRIALS + 99, 123);
+        let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, 123, 1);
+        let legacy = [None, Some(format!("hdr {}", BLOCK_CONTRACT - 1))];
+        for (i, header) in legacy.into_iter().enumerate() {
+            let (dir, path) = journal_path(&format!("legacy{i}"));
+            std::fs::write(&path, crashed_journal(&spec, header)).unwrap();
+            let svc = Service::start(ServiceConfig {
+                workers: 1,
+                journal: Some(path),
+                ..ServiceConfig::default()
+            })
+            .unwrap();
+            let status = svc.wait(7, Duration::from_secs(60)).unwrap();
+            let JobStatus::Done(r) = status else {
+                panic!("resumed job must finish, got {status:?}");
+            };
+            assert_eq!(r.accepts, reference.accepts, "journal {i}");
+            let st = svc.stats();
+            assert_eq!((st.memo_hits, st.refused_blocks), (0, 3), "journal {i}");
+            balanced(st);
+            svc.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn finished_jobs_are_retained_up_to_the_bound_oldest_evicted_first() {
+        let extra = 10;
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            queue_capacity: RETAINED_JOBS + extra,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let ids: Vec<JobId> = (0..RETAINED_JOBS + extra)
+            .map(|i| svc.submit(small_job(1, i as u64)).unwrap())
+            .collect();
+        let newest = *ids.last().unwrap();
+        // One worker drains the queue in order, so the newest job finishes
+        // last.
+        let status = svc.wait(newest, Duration::from_secs(120)).unwrap();
+        assert!(matches!(status, JobStatus::Done(_)), "got {status:?}");
+        for &id in &ids[..extra] {
+            let (code, _) = route(&svc, "GET", &format!("/v1/jobs/{id}"), "");
+            assert_eq!(code, 404, "job {id} must be evicted");
+        }
+        let (code, body) = route(&svc, "GET", &format!("/v1/jobs/{}", ids[extra]), "");
+        assert!(code == 200 && body.contains("done"), "{code} {body}");
+        assert_eq!(svc.shared.lock().jobs.len(), RETAINED_JOBS);
+        let st = svc.stats();
+        assert_eq!(st.submitted, (RETAINED_JOBS + extra) as u64);
+        assert_eq!(st.submitted, st.completed + st.partial + st.failed);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn recovery_keeps_only_the_newest_finished_jobs() {
+        let (dir, path) = journal_path("retain");
+        let extra = 5;
+        let spec = small_job(1, 3).encode();
+        // Job 0 never finished: the oldest admission, but live, so it is
+        // resumed rather than evicted.
+        let mut lines = vec![format!("hdr {BLOCK_CONTRACT}"), format!("job 0 {spec}")];
+        for id in 1..=(RETAINED_JOBS + extra) as u64 {
+            lines.push(format!("job {id} {spec}"));
+            lines.push(format!("done {id} 1 1 0 0"));
+        }
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            journal: Some(path),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        assert_eq!(svc.stats().resumed, 1);
+        // Replay evicted jobs 1..=extra; finishing job 0 then evicts one more.
+        let status = svc.wait(0, Duration::from_secs(60)).unwrap();
+        assert!(matches!(status, JobStatus::Done(_)), "got {status:?}");
+        let evicted = extra as u64 + 1;
+        for id in 1..=evicted {
+            assert_eq!(svc.status(id), None, "job {id} must be evicted");
+        }
+        assert!(matches!(svc.status(evicted + 1), Some(JobStatus::Done(_))));
+        let st = svc.stats();
+        assert_eq!(st.submitted, (RETAINED_JOBS + extra + 1) as u64);
+        assert_eq!(st.completed, st.submitted);
+        svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

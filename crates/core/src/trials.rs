@@ -37,13 +37,14 @@
 //! at any lane width and under either the scalar or the AVX2 executors —
 //! all pinned by the integration suite. (Changing [`BLOCK_TRIALS`] or a
 //! stream derivation changes accept counts *across versions*; the contract
-//! is invariance across execution configurations, never across versions.)
+//! is invariance across execution configurations, never across versions —
+//! [`BLOCK_CONTRACT`] names the version.)
 //!
 //! # Lane batching
 //!
 //! Plans whose rounds are pure table walks implement [`LaneBatched`] as
 //! well: [`LaneBatched::sample_lane_block`] runs a lane batch of `L` trials
-//! in lockstep over structure-of-arrays buffers (one coin word and one
+//! in lockstep over structure-of-arrays buffers (coin-word planes and one
 //! acceptance accumulator per lane), which the [`qsim::simd`] executors
 //! process four lanes per instruction under the `simd` feature — with the
 //! scalar lane path always compiled as the oracle. [`BatchSampler`] is
@@ -70,6 +71,15 @@ use std::time::{Duration, Instant};
 /// contract: changing it changes which trial consumes which random draw, so
 /// accept counts would differ (across versions, never across worker counts).
 pub const BLOCK_TRIALS: u64 = 8192;
+
+/// Version of the block contract: which accept count a block of a given
+/// `(plan, seed, block)` produces. Persisted block counts (the service
+/// journal's `blk` lines) are trusted only under the value that wrote them.
+/// Bump it whenever a block's accept count can change — a new
+/// [`BLOCK_TRIALS`], stream derivation or coin-word layout. Version 2: the
+/// multi-word lane walk, which changed the counts of chains with more than
+/// 62 intermediate nodes.
+pub const BLOCK_CONTRACT: u64 = 2;
 
 /// Shared statistical bounds for the Monte-Carlo test batteries.
 ///

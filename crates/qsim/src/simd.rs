@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD executors with always-compiled scalar oracles.
 //!
-//! Every function in this module has two bodies: a **scalar oracle** that is
+//! Every executor in this module has two bodies: a **scalar oracle** that is
 //! compiled on every target and defines the reference semantics, and (under
 //! `feature = "simd"` on `x86_64`) an AVX2 `std::arch` twin selected at
 //! runtime via `is_x86_feature_detected!`. The twins are written so that
@@ -25,6 +25,9 @@
 //! result — only throughput. The dqma trial engine and the mixed-proof
 //! kernel executors rely on that contract, and the integration suite pins it
 //! by diffing full trial reports across the scalar and SIMD paths.
+//!
+//! The chain-layout helpers ([`fuse_chain_tables`], [`shift_coin_planes`])
+//! are compile-time or integer-only, so they have one body for both paths.
 //!
 //! # Dispatch
 //!
@@ -86,90 +89,194 @@ pub fn set_enabled(on: bool) -> bool {
 pub const CHUNK_NODES: usize = 8;
 
 /// Entries per chunk table: a chunk of `m ≤ CHUNK_NODES` nodes reads
-/// selector bits `[CHUNK_NODES·c, CHUNK_NODES·c + m]` — at most
+/// `m + 1` consecutive selector bits of its coin word — at most
 /// `CHUNK_NODES + 1` bits, since adjacent nodes share a coin bit.
 pub const CHUNK_STRIDE: usize = 1 << (CHUNK_NODES + 1);
 
-/// Per-lane chunked chain walk: for each lane `i`,
-/// `acc[i] = Π_c fused[CHUNK_STRIDE·c + ((aug[i] >> (CHUNK_NODES·c)) & masks[c])]`.
+/// Chain nodes covered by one pre-shifted coin word. The word's node `i`
+/// reads selector bits `i` and `i + 1`, so 63 nodes use all 64 bits: bit 0
+/// carries the coin before the word's first node and bits `1..=63` carry
+/// the word's 63 own coins (see [`shift_coin_planes`]).
+pub const WORD_NODES: usize = 63;
+
+/// Chunks per coin word: seven chunks of [`CHUNK_NODES`] nodes and a last
+/// chunk of seven. Chunk `c` reads word plane `c / WORD_CHUNKS` at shift
+/// `CHUNK_NODES · (c % WORD_CHUNKS)`.
+pub const WORD_CHUNKS: usize = WORD_NODES.div_ceil(CHUNK_NODES);
+
+/// Fuses per-node chain tables into the chunk tables of [`fused_lane_walk`].
 ///
-/// `fused` packs one pre-multiplied table per chunk of [`CHUNK_NODES`]
-/// chain nodes (node `j`'s two selector bits are bits `j` and `j + 1` of the
-/// coin word, so a chunk of `m` nodes is a function of `m + 1` consecutive
-/// bits); `masks[c]` is `2^(m_c + 1) − 1` for chunk `c`'s node count. The
-/// per-lane product multiplies chunks in ascending order starting from 1.0 —
-/// the scalar oracle and the AVX2 twin (gather + lane-wise `vmulpd`, no FMA)
-/// follow the same order, so results are bit-identical.
+/// `tables` holds four entries per node, node `j`'s entry at selector
+/// `c_{j−1} + 2·c_j`. Nodes split into words of [`WORD_NODES`] and each
+/// word into chunks of at most [`CHUNK_NODES`]; chunk `c` gets one
+/// [`CHUNK_STRIDE`]-entry table holding, for every value of its
+/// `m_c + 1`-bit selector window, the product of its nodes' entries in
+/// ascending node order (unused entries are 0). Returns the packed tables
+/// and the per-chunk masks `2^(m_c + 1) − 1`.
 ///
 /// # Panics
 ///
-/// Panics if `fused` is shorter than `masks.len() · CHUNK_STRIDE` or the
-/// lane slices have mismatched lengths.
+/// Panics if `tables` is empty or not a whole number of nodes.
+pub fn fuse_chain_tables(tables: &[f64]) -> (Vec<f64>, Vec<u64>) {
+    assert!(!tables.is_empty() && tables.len().is_multiple_of(4));
+    let nodes = tables.len() / 4;
+    let mut fused = Vec::new();
+    let mut masks = Vec::new();
+    for word_start in (0..nodes).step_by(WORD_NODES) {
+        let word_end = nodes.min(word_start + WORD_NODES);
+        for first in (word_start..word_end).step_by(CHUNK_NODES) {
+            let m = CHUNK_NODES.min(word_end - first);
+            let mask = (1u64 << (m + 1)) - 1;
+            let mut tbl = [0.0f64; CHUNK_STRIDE];
+            for (sel, t) in tbl.iter_mut().enumerate().take(mask as usize + 1) {
+                let mut p = 1.0f64;
+                for i in 0..m {
+                    p *= tables[4 * (first + i) + ((sel >> i) & 3)];
+                }
+                *t = p;
+            }
+            fused.extend_from_slice(&tbl);
+            masks.push(mask);
+        }
+    }
+    (fused, masks)
+}
+
+/// Turns plane-major raw coin words into the pre-shifted planes that
+/// [`fused_lane_walk`] reads, in place: `planes[w·lanes + i]` holds lane
+/// `i`'s raw draw `raw_w` on entry, and on return plane 0 is `raw₀ << 1`
+/// and plane `w ≥ 1` is `(raw_w << 1) | ((raw_{w−1} >> 62) & 1)`.
+///
+/// Bits `0..=62` of `raw_w` are the coins of nodes `63w .. 63w + 62`, and
+/// each plane's bit 0 inherits the coin before its first node (0 for the
+/// first plane), so node `63w + i` finds its selector at bits `i, i + 1`
+/// of plane `w`. Bit 63 of every raw word is unused. One word gives
+/// exactly the single-word layout `raw << 1`. Integer shifts only, so the
+/// scalar and AVX2 dispatch paths share this one body.
+///
+/// # Panics
+///
+/// Panics if `lanes` is 0 or `planes.len()` is not a multiple of it.
+pub fn shift_coin_planes(planes: &mut [u64], lanes: usize) {
+    assert!(lanes > 0 && planes.len().is_multiple_of(lanes));
+    // Highest plane first: plane w reads raw_{w−1} before it is shifted.
+    for w in (1..planes.len() / lanes).rev() {
+        let (lo, hi) = planes.split_at_mut(w * lanes);
+        for (p, &prev) in hi[..lanes].iter_mut().zip(&lo[(w - 1) * lanes..]) {
+            *p = (*p << 1) | ((prev >> 62) & 1);
+        }
+    }
+    for p in planes.iter_mut().take(lanes) {
+        *p <<= 1;
+    }
+}
+
+/// Per-lane chunked chain walk: for each lane `i` of `L = acc.len()`,
+/// `acc[i] = Π_c fused[CHUNK_STRIDE·c + ((aug[w_c·L + i] >> s_c) & masks[c])]`,
+/// where chunk `c` reads plane `w_c = c / WORD_CHUNKS` at shift
+/// `s_c = CHUNK_NODES · (c % WORD_CHUNKS)`.
+///
+/// `fused` and `masks` come from [`fuse_chain_tables`]: one pre-multiplied
+/// table per chunk of at most [`CHUNK_NODES`] chain nodes, a chunk of `m`
+/// nodes being a function of `m + 1` consecutive selector bits. `aug` is
+/// plane-major — `W = ⌈masks.len() / WORD_CHUNKS⌉` planes of `L` lanes,
+/// each prepared by [`shift_coin_planes`] — and every chunk loads its
+/// selector from its own plane. The per-lane product multiplies chunks in
+/// ascending order starting from 1.0; the scalar oracle and the AVX2 twin
+/// (gather + lane-wise `vmulpd`, no FMA) follow the same order, so results
+/// are bit-identical.
+///
+/// # Panics
+///
+/// Panics if `fused` is shorter than `masks.len() · CHUNK_STRIDE`, a mask
+/// exceeds a chunk table, or `aug` does not hold exactly `W` planes of
+/// `acc.len()` lanes.
 pub fn fused_lane_walk(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [f64]) {
     assert!(fused.len() >= masks.len() * CHUNK_STRIDE);
-    assert_eq!(aug.len(), acc.len());
+    assert_eq!(aug.len(), masks.len().div_ceil(WORD_CHUNKS) * acc.len());
     assert!(masks.iter().all(|&m| m < CHUNK_STRIDE as u64));
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime, and the
+        // SAFETY: `enabled()` implies AVX2 was detected at runtime, the
         // masks were just checked to keep every gather index below
-        // CHUNK_STRIDE.
+        // CHUNK_STRIDE, and `aug` holds one plane of `acc.len()` lanes for
+        // every word of chunks.
         unsafe { fused_lane_walk_avx2(fused, masks, aug, acc) };
         return;
     }
-    fused_lane_walk_scalar(fused, masks, aug, acc);
+    fused_lane_walk_scalar(fused, masks, aug, acc.len(), 0, acc);
 }
 
-/// Scalar oracle for [`fused_lane_walk`]; always compiled, also used for
+/// Scalar oracle for [`fused_lane_walk`] over lanes `lo .. lo + acc.len()`
+/// of planes with stride `lanes`; always compiled, also used for
 /// sub-register tail lanes of the AVX2 path. Iterates chunk-outer /
 /// lane-inner so the per-lane multiply chains interleave (the product order
 /// per lane is still ascending chunks).
-fn fused_lane_walk_scalar(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [f64]) {
+fn fused_lane_walk_scalar(
+    fused: &[f64],
+    masks: &[u64],
+    aug: &[u64],
+    lanes: usize,
+    lo: usize,
+    acc: &mut [f64],
+) {
     acc.fill(1.0);
     for (c, &mask) in masks.iter().enumerate() {
         let tbl: &[f64; CHUNK_STRIDE] = fused[c * CHUNK_STRIDE..(c + 1) * CHUNK_STRIDE]
             .try_into()
             .expect("chunk stride");
-        let shift = (CHUNK_NODES * c) as u32;
+        let plane = &aug[(c / WORD_CHUNKS) * lanes + lo..][..acc.len()];
+        let shift = (CHUNK_NODES * (c % WORD_CHUNKS)) as u32;
         // Mask re-clamped so the compiler can drop the bounds check against
         // the fixed-size chunk table.
         let mask = mask & (CHUNK_STRIDE as u64 - 1);
-        for (a, &w) in acc.iter_mut().zip(aug) {
+        for (a, &w) in acc.iter_mut().zip(plane) {
             *a *= tbl[((w >> shift) & mask) as usize];
         }
     }
 }
 
 /// AVX2 twin of [`fused_lane_walk`]: four lanes per register, selectors by
-/// shift + mask, chunk entries fetched with `vgatherqpd` (exact loads),
-/// products accumulated with lane-wise `vmulpd` in the same chunk order as
-/// the oracle — bit-identical results. The main loop carries 16 lanes
-/// (4 registers) so the gathers of consecutive chunks overlap.
+/// shift + mask from each word's plane, chunk entries fetched with
+/// `vgatherqpd` (exact loads), products accumulated with lane-wise `vmulpd`
+/// in the same chunk order as the oracle — bit-identical results. The main
+/// loop carries 16 lanes (4 registers) so the gathers of consecutive chunks
+/// overlap.
+///
+/// # Safety
+///
+/// The host must support AVX2, every mask must be below `CHUNK_STRIDE`,
+/// `fused` must hold `masks.len()` chunk tables, and `aug` must hold
+/// `⌈masks.len() / WORD_CHUNKS⌉` planes of `acc.len()` lanes — the
+/// conditions [`fused_lane_walk`] asserts before the call.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 unsafe fn fused_lane_walk_avx2(fused: &[f64], masks: &[u64], aug: &[u64], acc: &mut [f64]) {
     use std::arch::x86_64::*;
-    let n = aug.len();
+    let n = acc.len();
     let mut i = 0usize;
     while i + 16 <= n {
-        let a0 = _mm256_loadu_si256(aug.as_ptr().add(i) as *const __m256i);
-        let a1 = _mm256_loadu_si256(aug.as_ptr().add(i + 4) as *const __m256i);
-        let a2 = _mm256_loadu_si256(aug.as_ptr().add(i + 8) as *const __m256i);
-        let a3 = _mm256_loadu_si256(aug.as_ptr().add(i + 12) as *const __m256i);
         let one = _mm256_set1_pd(1.0);
         let (mut p0, mut p1, mut p2, mut p3) = (one, one, one, one);
-        for (c, &mask) in masks.iter().enumerate() {
-            let base = fused.as_ptr().add(c * CHUNK_STRIDE);
-            let cnt = _mm_cvtsi32_si128((CHUNK_NODES * c) as i32);
-            let mv = _mm256_set1_epi64x(mask as i64);
-            let s0 = _mm256_and_si256(_mm256_srl_epi64(a0, cnt), mv);
-            let s1 = _mm256_and_si256(_mm256_srl_epi64(a1, cnt), mv);
-            let s2 = _mm256_and_si256(_mm256_srl_epi64(a2, cnt), mv);
-            let s3 = _mm256_and_si256(_mm256_srl_epi64(a3, cnt), mv);
-            p0 = _mm256_mul_pd(p0, _mm256_i64gather_pd::<8>(base, s0));
-            p1 = _mm256_mul_pd(p1, _mm256_i64gather_pd::<8>(base, s1));
-            p2 = _mm256_mul_pd(p2, _mm256_i64gather_pd::<8>(base, s2));
-            p3 = _mm256_mul_pd(p3, _mm256_i64gather_pd::<8>(base, s3));
+        for (w, word_masks) in masks.chunks(WORD_CHUNKS).enumerate() {
+            let src = aug.as_ptr().add(w * n + i);
+            let a0 = _mm256_loadu_si256(src as *const __m256i);
+            let a1 = _mm256_loadu_si256(src.add(4) as *const __m256i);
+            let a2 = _mm256_loadu_si256(src.add(8) as *const __m256i);
+            let a3 = _mm256_loadu_si256(src.add(12) as *const __m256i);
+            for (q, &mask) in word_masks.iter().enumerate() {
+                let base = fused.as_ptr().add((w * WORD_CHUNKS + q) * CHUNK_STRIDE);
+                let cnt = _mm_cvtsi32_si128((CHUNK_NODES * q) as i32);
+                let mv = _mm256_set1_epi64x(mask as i64);
+                let s0 = _mm256_and_si256(_mm256_srl_epi64(a0, cnt), mv);
+                let s1 = _mm256_and_si256(_mm256_srl_epi64(a1, cnt), mv);
+                let s2 = _mm256_and_si256(_mm256_srl_epi64(a2, cnt), mv);
+                let s3 = _mm256_and_si256(_mm256_srl_epi64(a3, cnt), mv);
+                p0 = _mm256_mul_pd(p0, _mm256_i64gather_pd::<8>(base, s0));
+                p1 = _mm256_mul_pd(p1, _mm256_i64gather_pd::<8>(base, s1));
+                p2 = _mm256_mul_pd(p2, _mm256_i64gather_pd::<8>(base, s2));
+                p3 = _mm256_mul_pd(p3, _mm256_i64gather_pd::<8>(base, s3));
+            }
         }
         _mm256_storeu_pd(acc.as_mut_ptr().add(i), p0);
         _mm256_storeu_pd(acc.as_mut_ptr().add(i + 4), p1);
@@ -178,20 +285,22 @@ unsafe fn fused_lane_walk_avx2(fused: &[f64], masks: &[u64], aug: &[u64], acc: &
         i += 16;
     }
     while i + 4 <= n {
-        let av = _mm256_loadu_si256(aug.as_ptr().add(i) as *const __m256i);
         let mut pv = _mm256_set1_pd(1.0);
-        for (c, &mask) in masks.iter().enumerate() {
-            let base = fused.as_ptr().add(c * CHUNK_STRIDE);
-            let cnt = _mm_cvtsi32_si128((CHUNK_NODES * c) as i32);
-            let mv = _mm256_set1_epi64x(mask as i64);
-            let sv = _mm256_and_si256(_mm256_srl_epi64(av, cnt), mv);
-            pv = _mm256_mul_pd(pv, _mm256_i64gather_pd::<8>(base, sv));
+        for (w, word_masks) in masks.chunks(WORD_CHUNKS).enumerate() {
+            let av = _mm256_loadu_si256(aug.as_ptr().add(w * n + i) as *const __m256i);
+            for (q, &mask) in word_masks.iter().enumerate() {
+                let base = fused.as_ptr().add((w * WORD_CHUNKS + q) * CHUNK_STRIDE);
+                let cnt = _mm_cvtsi32_si128((CHUNK_NODES * q) as i32);
+                let mv = _mm256_set1_epi64x(mask as i64);
+                let sv = _mm256_and_si256(_mm256_srl_epi64(av, cnt), mv);
+                pv = _mm256_mul_pd(pv, _mm256_i64gather_pd::<8>(base, sv));
+            }
         }
         _mm256_storeu_pd(acc.as_mut_ptr().add(i), pv);
         i += 4;
     }
     if i < n {
-        fused_lane_walk_scalar(fused, masks, &aug[i..], &mut acc[i..]);
+        fused_lane_walk_scalar(fused, masks, aug, n, i, &mut acc[i..]);
     }
 }
 
@@ -1014,38 +1123,85 @@ mod tests {
         }
     }
 
+    /// Coin `c_j` of node `j` (`c_{−1} = 0`) as a bit-string reference:
+    /// raw word `j / 63` carries the coins of its 63 nodes in bits `0..=62`.
+    fn coin(raw: &[u64], j: isize) -> usize {
+        if j < 0 {
+            return 0;
+        }
+        let j = j as usize;
+        ((raw[j / WORD_NODES] >> (j % WORD_NODES)) & 1) as usize
+    }
+
+    #[test]
+    fn coin_planes_put_every_node_selector_at_its_word_offset() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for words in 1..=5usize {
+            let lanes = 5;
+            let raw: Vec<u64> = (0..words * lanes).map(|_| rng.random()).collect();
+            let mut planes = raw.clone();
+            shift_coin_planes(&mut planes, lanes);
+            for i in 0..lanes {
+                let lane_raw: Vec<u64> = (0..words).map(|w| raw[w * lanes + i]).collect();
+                assert_eq!(
+                    planes[i],
+                    lane_raw[0] << 1,
+                    "plane 0 is the single-word layout"
+                );
+                for j in 0..words * WORD_NODES {
+                    let (w, b) = (j / WORD_NODES, j % WORD_NODES);
+                    let expect = coin(&lane_raw, j as isize - 1) + 2 * coin(&lane_raw, j as isize);
+                    assert_eq!(
+                        ((planes[w * lanes + i] >> b) & 3) as usize,
+                        expect,
+                        "words {words}, lane {i}, node {j}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn fused_walk_matches_direct_product_and_is_path_invariant() {
         let mut rng = StdRng::seed_from_u64(7);
         // Node counts spanning one partial chunk, exact multiples of
-        // CHUNK_NODES, and the k = 62 maximum (63 nodes, last chunk short).
-        for nodes in [1usize, 5, CHUNK_NODES, 2 * CHUNK_NODES, 33, 63] {
-            let nchunks = nodes.div_ceil(CHUNK_NODES);
-            let mut fused = vec![0.0f64; nchunks * CHUNK_STRIDE];
-            let mut masks = vec![0u64; nchunks];
-            for c in 0..nchunks {
-                let m = CHUNK_NODES.min(nodes - c * CHUNK_NODES);
-                masks[c] = (1u64 << (m + 1)) - 1;
-                for sel in 0..=masks[c] as usize {
-                    fused[c * CHUNK_STRIDE + sel] = rng.random::<f64>();
-                }
-            }
+        // CHUNK_NODES, a full word (63 nodes, last chunk short), and one to
+        // five word planes with full and partial last words.
+        for nodes in [1usize, 5, 8, 16, 33, 63, 64, 65, 127, 128, 200, 256, 315] {
+            let words = nodes.div_ceil(WORD_NODES);
+            let tables: Vec<f64> = (0..4 * nodes).map(|_| rng.random::<f64>()).collect();
+            let (fused, masks) = fuse_chain_tables(&tables);
+            assert_eq!(masks.len().div_ceil(WORD_CHUNKS), words);
             // 19 lanes: exercises the 16-lane block, the 4-lane block and a
             // 3-lane scalar tail in one call.
-            let aug: Vec<u64> = (0..19).map(|_| rng.random::<u64>() << 1).collect();
-            let direct: Vec<f64> = aug
-                .iter()
-                .map(|&w| {
+            let lanes = 19;
+            let raw: Vec<u64> = (0..words * lanes).map(|_| rng.random::<u64>()).collect();
+            // Reference: node tables looked up from the bit-string coins,
+            // multiplied within each chunk (8 nodes, 7 for a word's last),
+            // then across chunks — the grouping the fused tables encode.
+            let direct: Vec<f64> = (0..lanes)
+                .map(|i| {
+                    let lane_raw: Vec<u64> = (0..words).map(|w| raw[w * lanes + i]).collect();
                     let mut p = 1.0;
-                    for (c, &mask) in masks.iter().enumerate() {
-                        let sel = (w >> (CHUNK_NODES * c)) & mask;
-                        p *= fused[c * CHUNK_STRIDE + sel as usize];
+                    for word_start in (0..nodes).step_by(WORD_NODES) {
+                        let word_end = nodes.min(word_start + WORD_NODES);
+                        for first in (word_start..word_end).step_by(CHUNK_NODES) {
+                            let mut chunk = 1.0;
+                            for j in first..word_end.min(first + CHUNK_NODES) {
+                                let sel = coin(&lane_raw, j as isize - 1)
+                                    + 2 * coin(&lane_raw, j as isize);
+                                chunk *= tables[4 * j + sel];
+                            }
+                            p *= chunk;
+                        }
                     }
                     p
                 })
                 .collect();
+            let mut aug = raw.clone();
+            shift_coin_planes(&mut aug, lanes);
             both_paths(|| {
-                let mut acc = vec![0.0f64; aug.len()];
+                let mut acc = vec![0.0f64; lanes];
                 fused_lane_walk(&fused, &masks, &aug, &mut acc);
                 assert_eq!(acc, direct, "nodes = {nodes}");
                 acc

@@ -365,9 +365,9 @@ fn batched_trial_reports_are_identical_across_worker_counts() {
     });
 }
 
-/// Lane widths the PR-7 vectorisation contract is pinned at: serial (1), one
-/// AVX2 register (4) and two registers (8).
-const LANE_SWEEP: [usize; 3] = [1, 4, 8];
+/// Lane widths the vectorisation contract is pinned at: serial (1), one
+/// AVX2 register (4), two registers (8) and the engine default (32).
+const LANE_SWEEP: [usize; 4] = [1, 4, 8, 32];
 
 /// Asserts that running `plan` through the lane-batched engine reproduces the
 /// default engine's `TrialReport` bit for bit at every lane width in
@@ -405,6 +405,24 @@ fn assert_lane_invariant<S: dqma::trials::LaneBatched>(
         }
     }
     qsim::simd::set_enabled(saved);
+}
+
+/// Rate of `n` rounds of the per-trial `round` walk on a sequential stream
+/// independent of the engine's counter streams.
+fn round_walk_rate(n: u64, seed: u64, mut round: impl FnMut(&mut StdRng) -> bool) -> f64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).filter(|_| round(&mut rng)).count() as f64 / n as f64
+}
+
+/// Asserts that two independent estimates of one acceptance probability,
+/// over `n_a` and `n_b` trials, agree within the sum of their Hoeffding
+/// margins.
+fn assert_rates_agree(label: &str, a: f64, n_a: u64, b: f64, n_b: u64) {
+    let eps = hoeffding_margin(n_a as usize) + hoeffding_margin(n_b as usize);
+    assert!(
+        (a - b).abs() < eps,
+        "{label}: lane rate {a} vs round-walk rate {b} (margin {eps})"
+    );
 }
 
 #[test]
@@ -468,6 +486,42 @@ fn lane_batched_reports_are_identical_across_lane_widths_workers_and_simd() {
         0xFEED,
         &relay_base,
     );
+
+    // Chains longer than 62 intermediate nodes draw one coin word per 63
+    // nodes. Their counts must be as invariant across lanes × workers ×
+    // SIMD as single-word chains, and their rates must agree with the
+    // node-by-node `round` walk. For k ≤ 62 the lane walk is unchanged, so
+    // the counts below r = 64 are the ones recorded before multi-word coins.
+    let pinned = [(32usize, 72422u64), (62, 73077), (63, 73086)];
+    for r in [32usize, 62, 63, 64, 65, 127, 128, 256] {
+        let proto = EqPathProtocol::with_scheme(r, FingerprintScheme::small(4, 7), 4);
+        let plan = proto.round_plan(&x, &y, ChainCheat::Interpolate);
+        let base = proto.sample_rounds_with_workers(&x, &y, ChainCheat::Interpolate, n, 0xC0DE, 1);
+        let label = format!("eq_path r={r}");
+        if let Some(&(_, accepts)) = pinned.iter().find(|&&(pr, _)| pr == r) {
+            assert_eq!(
+                base.accepts, accepts,
+                "{label}: k <= 62 counts must not move"
+            );
+        }
+        if r < 63 {
+            continue;
+        }
+        assert_lane_invariant(&label, &plan, n, 0xC0DE, &base);
+        let walk = round_walk_rate(n, r as u64, |rng| plan.round(rng));
+        assert_rates_agree(&label, base.acceptance_rate(), n, walk, n);
+    }
+
+    // A relay whose two segments each span 70 edges (two coin words each):
+    // the segments' planes are drawn in segment order, then the accept draw.
+    let relay = RelayEqProtocol::with_spacing(4, 140, 70, 3);
+    let relays = vec![rx.clone(); relay.relay_points().len()];
+    let plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
+    let base =
+        relay.sample_rounds_with_workers(&rx, &ry, &relays, ChainCheat::Interpolate, n, 0xFEED, 1);
+    assert_lane_invariant("relay r=140", &plan, n, 0xFEED, &base);
+    let walk = round_walk_rate(n, 140, |rng| plan.round(rng));
+    assert_rates_agree("relay r=140", base.acceptance_rate(), n, walk, n);
 }
 
 #[test]
