@@ -35,9 +35,11 @@
 //! Requires the `dqma-node` binary (built by `cargo build --release`) and
 //! a bindable loopback interface; when either is missing the bench prints
 //! a skip notice and leaves the committed `BENCH_churn.json` untouched.
+//! A `dqma-node` older than its sources is refused before anything spawns.
 //!
 //! Run with: `cargo bench --bench bench_churn`
 
+use std::path::Path;
 use std::time::Duration;
 
 use commproto::bitstring::BitString;
@@ -110,6 +112,10 @@ fn main() {
     // ----- Table 1: TCP transport overhead (r = 32, 33 processes) ---------
     let program = eq_path_program(32);
     let cfg = ClusterConfig::default();
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if let Err(e) = dqma_bench::check_binary_fresh(&cfg.node_bin, root) {
+        panic!("bench_churn: {e}");
+    }
     let policy = cfg.policy.clone();
     let Some(mut cluster) = launch_or_skip(ProgramSpec::from_chain(&program), cfg) else {
         return;

@@ -169,7 +169,7 @@ fn main() {
     }
 
     // Worker fan-out overhead at 1/2/4/8 workers (PR 4): the fixed cost a
-    // parallel kernel call or batched trial dispatch pays before any work.
+    // batched trial dispatch pays before any work.
     // `fast` dispatches one empty chunk per worker on the persistent pool
     // (threads already parked); the baseline column times the per-call
     // `std::thread::scope` spawn the kernels used through PR 3.
@@ -204,30 +204,23 @@ fn main() {
     }
 
     let (par_enabled, par_threads) = dqma_bench::parallel_config();
-    let mut columns = vec![
+    let columns = [
         "benchmark",
         "strided",
         "naive",
         "speedup",
         "ops/s (strided)",
     ];
-    if par_enabled {
-        columns.push("parallel");
-    }
     print_header("bench_qsim: strided kernels vs naive oracles", &columns);
     let mut report = JsonReport::new();
     for e in &entries {
-        let mut cells = vec![
+        print_row(&[
             e.name.clone(),
             fmt_ns(e.fast.ns_per_op),
             fmt_ns(e.naive.ns_per_op),
             format!("{:.1}x", e.speedup()),
             format!("{:.0}", e.fast.ops_per_sec),
-        ];
-        if par_enabled {
-            cells.push(format!("{par_threads} threads"));
-        }
-        print_row(&cells);
+        ]);
         // The storage layout of the timed kernels ("soa" split re/im planes
         // from PR 3 on; "aos" interleaved before) and of the naive baseline
         // column, so cross-PR trajectory comparison in BENCH_qsim.json stays
@@ -238,7 +231,7 @@ fn main() {
         } else {
             ("soa", "aos-naive")
         };
-        let mut fields = vec![
+        report.push(&[
             ("name", JsonValue::Str(e.name.clone())),
             ("layout", JsonValue::Str(layout.to_string())),
             ("baseline_layout", JsonValue::Str(baseline.to_string())),
@@ -247,11 +240,7 @@ fn main() {
             ("iters", JsonValue::Int(e.fast.iters)),
             ("naive_ns_per_op", JsonValue::Num(e.naive.ns_per_op)),
             ("speedup_vs_naive", JsonValue::Num(e.speedup())),
-        ];
-        if par_enabled {
-            fields.push(("parallel", JsonValue::Str("true".to_string())));
-        }
-        report.push(&fields);
+        ]);
     }
 
     // The PR-1 acceptance gate: ≥ 10× on the 8-qubit density 1q gate.

@@ -27,16 +27,19 @@
 //! Requires the `dqma-server` binary (built by `cargo build --release`;
 //! override with `DQMA_SERVER_BIN`) and a bindable loopback interface —
 //! when either is missing the bench prints a skip notice and leaves the
-//! committed `BENCH_service.json` untouched.
+//! committed `BENCH_service.json` untouched. A `dqma-server` older than
+//! its sources is refused before it is spawned.
 //!
 //! Run with: `cargo bench --bench bench_service`
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dqma::service::{client, json, locate_server_bin, ChaosSpec, CheatSpec, InstanceSpec, JobSpec};
+use dqma::cluster::locate_bin;
+use dqma::service::{client, json, ChaosSpec, CheatSpec, InstanceSpec, JobSpec};
 use dqma::trials::{run_trials, BLOCK_TRIALS};
 use dqma_bench::{fmt_ns, print_header, print_row, JsonReport, JsonValue};
 
@@ -61,7 +64,7 @@ struct Server {
 
 impl Server {
     fn launch(extra: &[&str]) -> Option<Server> {
-        let bin = locate_server_bin().or_else(|| {
+        let bin = locate_bin("dqma-server", "DQMA_SERVER_BIN").or_else(|| {
             println!(
                 "bench_service: skipping (dqma-server not found; build with \
                  `cargo build --release` or set DQMA_SERVER_BIN); the \
@@ -69,6 +72,10 @@ impl Server {
             );
             None
         })?;
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        if let Err(e) = dqma_bench::check_binary_fresh(&bin, root) {
+            panic!("bench_service: {e}");
+        }
         let mut child = Command::new(&bin)
             .arg("--addr")
             .arg("127.0.0.1:0")

@@ -7,6 +7,8 @@
 //! numbers are also written to `bench_output.txt` by the top-level
 //! `cargo bench` run.
 
+use std::path::{Path, PathBuf};
+
 /// Prints a table header followed by a separator line.
 pub fn print_header(title: &str, columns: &[&str]) {
     println!("\n=== {title} ===");
@@ -87,21 +89,67 @@ pub fn time_it(mut f: impl FnMut(), min_duration: std::time::Duration) -> Timing
     }
 }
 
-/// Reports the kernel threading configuration of this build: whether the
-/// `parallel` feature is compiled in, and the worker count the qsim kernels
-/// will use (their own `QSIM_PARALLEL_THREADS`-or-host-parallelism policy,
-/// queried from `qsim::kernels::parallel_threads` so this never drifts
-/// from it). The bench bins attach this to their JSON reports so perf
-/// trajectories are comparable across configurations.
+/// Reports the threading configuration of this build: whether the
+/// `parallel` feature is compiled in, and the default width of the pooled
+/// trial engine (the `QSIM_PARALLEL_THREADS`-or-host-parallelism policy,
+/// queried from `qsim::pool::worker_count` so this never drifts from it).
+/// The bench bins attach this to their JSON reports so perf trajectories
+/// are comparable across configurations.
 pub fn parallel_config() -> (bool, u64) {
     #[cfg(feature = "parallel")]
     {
-        (true, qsim::kernels::parallel_threads() as u64)
+        (true, qsim::pool::worker_count() as u64)
     }
     #[cfg(not(feature = "parallel"))]
     {
         (false, 1)
     }
+}
+
+/// Refuses a workspace binary (`dqma-node`, `dqma-server`) that is older
+/// than any `.rs` file it is built from under the repository root `root`:
+/// the `src/` trees of the library crates and `vendor/rand`, `src/lib.rs`,
+/// and the binary's own `src/bin/<name>.rs` (an edit to another binary's
+/// file does not relink this one). A stale binary would otherwise fail a
+/// bench's bit-identity assert with a misleading message. A missing binary
+/// passes; launching it reports that.
+pub fn check_binary_fresh(bin: &Path, root: &Path) -> Result<(), String> {
+    let mtime = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
+    let Some(built) = mtime(bin) else {
+        return Ok(());
+    };
+    let name = bin.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+    let own = format!("src/bin/{name}.rs");
+    let sources = [
+        "crates/qsim/src",
+        "crates/netsim/src",
+        "crates/commproto/src",
+        "crates/core/src",
+        "vendor/rand/src",
+        "src/lib.rs",
+        &own,
+    ];
+    let mut stack: Vec<PathBuf> = sources.iter().map(|p| root.join(p)).collect();
+    while let Some(path) = stack.pop() {
+        if path.is_dir() {
+            stack.extend(
+                std::fs::read_dir(&path)
+                    .into_iter()
+                    .flatten()
+                    .flatten()
+                    .map(|e| e.path()),
+            );
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && mtime(&path).is_some_and(|t| t > built)
+        {
+            return Err(format!(
+                "{} is older than {}; run `cargo build --release` first",
+                bin.display(),
+                path.display()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Formats a nanoseconds-per-op figure with a readable unit.
@@ -195,6 +243,38 @@ pub use dqma::service::json;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn binaries_older_than_their_sources_are_refused() {
+        use std::fs::File;
+        use std::time::{Duration, SystemTime};
+        let root = std::env::temp_dir().join(format!("dqma_bench_fresh_{}", std::process::id()));
+        let nested = root.join("crates/core/src/service");
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::create_dir_all(root.join("src/bin")).unwrap();
+        let t0 = SystemTime::now() - Duration::from_secs(3600);
+        let at = |secs: u64| t0 + Duration::from_secs(secs);
+        let touch = |p: &Path, t: SystemTime| File::create(p).unwrap().set_modified(t).unwrap();
+        let bin = root.join("dqma-node");
+        touch(&nested.join("http.rs"), at(0));
+        touch(&root.join("src/lib.rs"), at(0));
+        // Another binary's source does not relink this one.
+        touch(&root.join("src/bin/dqma-cli.rs"), at(120));
+        touch(&bin, at(60));
+        assert_eq!(check_binary_fresh(&bin, &root), Ok(()));
+        // A nested library file edited after the link refuses the binary.
+        touch(&nested.join("http.rs"), at(90));
+        let err = check_binary_fresh(&bin, &root).unwrap_err();
+        assert!(err.contains("dqma-node") && err.contains("cargo build --release"));
+        // Relinking accepts it again; then its own source file is checked.
+        touch(&bin, at(100));
+        assert_eq!(check_binary_fresh(&bin, &root), Ok(()));
+        touch(&root.join("src/bin/dqma-node.rs"), at(110));
+        assert!(check_binary_fresh(&bin, &root).is_err());
+        // A missing binary is left to the launch to report.
+        assert_eq!(check_binary_fresh(&root.join("absent"), &root), Ok(()));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     #[test]
     fn slope_of_a_square_law_is_two() {

@@ -230,11 +230,6 @@ impl GapHammingOneWay {
         self.d
     }
 
-    /// The promise gap: inputs at distance `> 2d` are treated as far.
-    pub fn far_threshold(&self) -> usize {
-        2 * self.d
-    }
-
     fn sketch(&self, x: &BitString) -> PureState {
         let k = self.subsets.len();
         let amp = 1.0 / (k as f64).sqrt();

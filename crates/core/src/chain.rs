@@ -331,12 +331,11 @@ impl SwapTestChain {
     /// Panics if the proof does not have one two-register density matrix of
     /// the chain's register dimension per intermediate node.
     /// This is the **rebuild-per-call consumer path**: every kernel it
-    /// touches goes through the compile-then-execute shims, so each round
-    /// re-derives layouts, operator classifications and class tables. Batch
-    /// loops should use [`SwapTestChain::sample_rounds_mixed`] /
-    /// [`SwapTestChain::mixed_sampler`], whose round plan compiles every
-    /// kernel plan the frontier walk touches exactly once (the
-    /// `eq_path_trials_mixed_*` rows of `BENCH_protocols.json` track the
+    /// touches compiles a fresh plan, so each round re-derives layouts,
+    /// operator classifications and class tables. Batch loops should run
+    /// [`SwapTestChain::mixed_sampler`] through the trial engine, whose round
+    /// plan compiles every kernel plan the frontier walk touches exactly once
+    /// (the `eq_path_trials_mixed_*` rows of `BENCH_protocols.json` track the
     /// gap).
     pub fn simulate_round_mixed<R: Rng + ?Sized>(
         &self,
@@ -385,24 +384,6 @@ impl SwapTestChain {
                 "proof register dimension mismatch"
             );
         }
-    }
-
-    /// Empirical acceptance frequency over `trials` sampled rounds — a Monte
-    /// Carlo check against [`SwapTestChain::acceptance_separable`].
-    ///
-    /// Batch loops over a fixed proof should prefer
-    /// [`SwapTestChain::sample_rounds`], which prepares the round tables
-    /// once and returns interval statistics alongside the rate.
-    pub fn estimate_acceptance<R: Rng + ?Sized>(
-        &self,
-        proof: &SeparableChainProof,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64 {
-        let accepts = (0..trials)
-            .filter(|_| self.simulate_round(proof, rng))
-            .count();
-        accepts as f64 / trials as f64
     }
 
     /// Compiles a separable proof into a [`ChainRoundPlan`]: the
@@ -573,12 +554,6 @@ impl SwapTestChain {
             left_h,
             eff_h,
         }
-    }
-
-    /// Batched Monte-Carlo rounds on a fixed mixed proof; see
-    /// [`SwapTestChain::mixed_sampler`].
-    pub fn sample_rounds_mixed(&self, proof: &[DensityMatrix], n: u64, seed: u64) -> TrialReport {
-        trials::run_trials(&self.mixed_sampler(proof), n, seed)
     }
 
     /// Cost summary of one repetition of the chain protocol, given the size in
@@ -1134,7 +1109,10 @@ mod tests {
         let exact = chain.acceptance_separable(&proof);
         let mut rng = StdRng::seed_from_u64(11);
         let trials = 3000;
-        let est = chain.estimate_acceptance(&proof, trials, &mut rng);
+        let accepts = (0..trials)
+            .filter(|_| chain.simulate_round(&proof, &mut rng))
+            .count();
+        let est = accepts as f64 / trials as f64;
         assert!(
             (est - exact).abs() < 0.05,
             "estimated {est} vs exact {exact}"
@@ -1264,7 +1242,7 @@ mod tests {
             .iter()
             .map(|(a, b)| DensityMatrix::from_pure(&a.tensor(b)))
             .collect();
-        let report = chain.sample_rounds_mixed(&mixed, 6000, 13);
+        let report = trials::run_trials(&chain.mixed_sampler(&mixed), 6000, 13);
         let eps = report.hoeffding_radius(1e-9);
         assert!(
             (report.acceptance_rate() - exact).abs() < eps,

@@ -846,7 +846,7 @@ pub fn cluster_policy() -> RetryPolicy {
 /// Supervisor knobs.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Path of the `dqma-node` binary (see [`locate_node_bin`]).
+    /// Path of the `dqma-node` binary (see [`locate_bin`]).
     pub node_bin: PathBuf,
     /// Retry policy installed fleet-wide.
     pub policy: RetryPolicy,
@@ -874,7 +874,8 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            node_bin: locate_node_bin().unwrap_or_else(|| PathBuf::from("dqma-node")),
+            node_bin: locate_bin("dqma-node", "DQMA_NODE_BIN")
+                .unwrap_or_else(|| PathBuf::from("dqma-node")),
             policy: cluster_policy(),
             nanos_per_vns: 1_000,
             batch: 2_048,
@@ -900,15 +901,16 @@ impl ClusterConfig {
     }
 }
 
-/// Locates the `dqma-node` binary: the `DQMA_NODE_BIN` environment
-/// variable if set, else a sibling of the current executable (walking up
-/// through cargo's `target/<profile>/deps` layout).
-pub fn locate_node_bin() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("DQMA_NODE_BIN") {
+/// Locates one of the workspace binaries (`dqma-node`, `dqma-server`): the
+/// path in environment variable `env_var` if set, else a sibling of the
+/// current executable named `name` (walking up through cargo's
+/// `target/<profile>/deps` layout).
+pub fn locate_bin(name: &str, env_var: &str) -> Option<PathBuf> {
+    if let Ok(p) = std::env::var(env_var) {
         return Some(PathBuf::from(p));
     }
     let exe = std::env::current_exe().ok()?;
-    let name = format!("dqma-node{}", std::env::consts::EXE_SUFFIX);
+    let name = format!("{name}{}", std::env::consts::EXE_SUFFIX);
     for dir in exe.ancestors().skip(1) {
         let cand = dir.join(&name);
         if cand.is_file() {
@@ -1142,12 +1144,6 @@ impl Cluster {
         cluster.broadcast_peers();
         cluster.broadcast_program();
         Ok(cluster)
-    }
-
-    /// Restart / reprogram tallies so far (exposed for benches that call
-    /// [`Cluster::run`] several times).
-    pub fn churn_totals(&self) -> (u64, u64, Duration) {
-        (self.restarts, self.reprograms, self.restart_wall)
     }
 
     fn spawn_process(&mut self, node: NodeId) -> io::Result<()> {

@@ -17,12 +17,6 @@ pub fn table1_fgnp_eq_local(n: usize, r: usize, t: usize) -> f64 {
     (t * r * r) as f64 * log2n(n)
 }
 
-/// Table 1, row 2 — FGNP21's protocol from a one-way protocol of cost `s`:
-/// local proof `O(r²·s·log(n + r))`.
-pub fn table1_fgnp_oneway_local(n: usize, r: usize, s: usize) -> f64 {
-    (r * r * s) as f64 * ((n + r).max(2) as f64).log2()
-}
-
 /// Table 1, row 3 — classical dMA lower bound for EQ with `ν` rounds:
 /// local proof `Ω(n/ν)`.
 pub fn table1_classical_local(n: usize, rounds: usize) -> f64 {
@@ -80,12 +74,6 @@ pub fn table2_dqmasep_local(r: usize, c: f64) -> f64 {
 /// `Ω(r·log n)`.
 pub fn table3_sepsep_total(n: usize, r: usize) -> f64 {
     r as f64 * log2n(n)
-}
-
-/// Table 3, row 2 — entangled-proof bound `Ω((log n)^{1/2−ε} / r^{1+ε})`
-/// (Theorem 52).
-pub fn table3_entangled_ratio(n: usize, r: usize, eps: f64) -> f64 {
-    log2n(n).powf(0.5 - eps) / (r as f64).powf(1.0 + eps)
 }
 
 /// Table 3, row 3 — `Ω(r)` for any non-constant function (Corollary 55).

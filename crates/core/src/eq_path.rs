@@ -10,7 +10,7 @@
 //! `1 − 4/(81 r²)`; `O(r²)` parallel repetitions push it below 1/3 with local
 //! proof and message size `O(r² log n)` (Theorem 19 specialised to a path).
 
-use crate::chain::{cheating_proof, ChainCheat, SeparableChainProof, SwapTestChain};
+use crate::chain::{cheating_proof, ChainCheat, SwapTestChain};
 use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
 use commproto::one_way::{EqOneWay, OneWayProtocol};
@@ -89,17 +89,6 @@ impl EqPathProtocol {
         let right_state = self.protocol.alice_message(y);
         let proof = cheating_proof(&chain, &right_state, cheat);
         chain.acceptance_separable(&proof)
-    }
-
-    /// Acceptance probability of a single repetition for an arbitrary
-    /// separable proof.
-    pub fn single_round_acceptance_with_proof(
-        &self,
-        x: &BitString,
-        y: &BitString,
-        proof: &SeparableChainProof,
-    ) -> f64 {
-        self.chain(x, y).acceptance_separable(proof)
     }
 
     /// Acceptance probability of the full `k`-fold repetition assuming the

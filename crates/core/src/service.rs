@@ -1559,25 +1559,6 @@ pub mod client {
     }
 }
 
-/// Locates the `dqma-server` binary: the `DQMA_SERVER_BIN` environment
-/// variable if set, else a sibling of the current executable (cargo's
-/// `target/<profile>` layout) — the same discipline as
-/// [`crate::cluster::locate_node_bin`].
-pub fn locate_server_bin() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("DQMA_SERVER_BIN") {
-        return Some(PathBuf::from(p));
-    }
-    let exe = std::env::current_exe().ok()?;
-    let name = format!("dqma-server{}", std::env::consts::EXE_SUFFIX);
-    for dir in exe.ancestors().skip(1) {
-        let cand = dir.join(&name);
-        if cand.is_file() {
-            return Some(cand);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -144,7 +144,7 @@ pub fn read_request(r: &mut impl Read, limits: Limits) -> Result<Request, HttpEr
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("bad version {version:?}")));
     }
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -160,11 +160,20 @@ pub fn read_request(r: &mut impl Read, limits: Limits) -> Result<Request, HttpEr
             ));
         }
         if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+            // RFC 9112 §6.3: a repeated header or a value that is not a bare
+            // digit string (`usize::from_str` alone would take `+4`) is
+            // ambiguous framing.
+            if content_length.is_some() {
+                return Err(HttpError::Malformed("repeated content-length".to_string()));
+            }
+            let bad = || HttpError::Malformed(format!("bad content-length {value:?}"));
+            if !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            content_length = Some(value.parse().map_err(|_| bad())?);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body {
         return Err(HttpError::BodyTooLarge);
     }
@@ -245,6 +254,13 @@ mod tests {
                 matches!(e, HttpError::Malformed(_))
             }),
             (b"POST /x HTTP/1.1\r\nContent-Length: zz\r\n\r\n", |e| {
+                matches!(e, HttpError::Malformed(_))
+            }),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcd",
+                |e| matches!(e, HttpError::Malformed(_)),
+            ),
+            (b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd", |e| {
                 matches!(e, HttpError::Malformed(_))
             }),
             (

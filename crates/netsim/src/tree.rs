@@ -129,22 +129,6 @@ impl SpanningTree {
             .collect()
     }
 
-    /// The path from `v` to the root (inclusive of both).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not in the tree.
-    pub fn path_to_root(&self, v: usize) -> Vec<usize> {
-        assert!(self.contains(v), "node {v} is not in the tree");
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
     /// Removes the subtree strictly below every node for which `keep` returns
     /// `false` on *all* nodes of that subtree, keeping exactly the nodes that
     /// are ancestors of (or equal to) a node satisfying `keep`.
@@ -408,17 +392,6 @@ impl TerminalTree {
             }
         }
         out
-    }
-
-    /// The logical path from a leaf up to the root (inclusive).
-    pub fn path_to_root(&self, idx: usize) -> Vec<usize> {
-        let mut path = vec![idx];
-        let mut cur = idx;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path
     }
 }
 

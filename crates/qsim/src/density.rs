@@ -364,28 +364,16 @@ impl DensityMatrix {
         kernels::conjugate_matrix_with(&mut self.mat, plan, scratch);
     }
 
-    /// Conjugates by the embedded class-averaging projector `P` of the listed
-    /// target subsystems, in place and without renormalising:
-    /// `ρ → P ρ P` (or `(I−P) ρ (I−P)` with `complement`).
+    /// Conjugates by the embedded class-averaging projector `P` of a class
+    /// plan ([`KernelPlan::for_classes`] / [`KernelPlan::for_symmetric`] /
+    /// [`crate::plan::cached_symmetric`]), in place and without
+    /// renormalising: `ρ → P ρ P` (or `(I−P) ρ (I−P)` with `complement`).
     ///
     /// With the `S_k` digit-orbit classes of
     /// [`crate::permutation::symmetric_classes`] this is the post-measurement
     /// effect of the SWAP/permutation test, executed as an in-place register
     /// symmetrisation over the [`crate::kernels`] stride machinery — `O(D²)`,
     /// no block factor, no projector allocation.
-    pub fn apply_class_projector(
-        &mut self,
-        targets: &[usize],
-        classes: &kernels::BlockClasses,
-        complement: bool,
-    ) {
-        let plan = KernelPlan::for_classes(&self.dims, targets, classes);
-        self.apply_class_projector_with(&plan, complement, &mut PlanScratch::default());
-    }
-
-    /// Plan executor of [`DensityMatrix::apply_class_projector`] over a
-    /// class plan ([`KernelPlan::for_classes`] /
-    /// [`KernelPlan::for_symmetric`] / [`crate::plan::cached_symmetric`]).
     ///
     /// # Panics
     ///

@@ -67,14 +67,6 @@ pub fn swap_test_distance_bound(epsilon: f64) -> f64 {
     2.0 * epsilon.max(0.0).sqrt() + epsilon.max(0.0)
 }
 
-/// The maximum advantage with which any measurement distinguishes `ρ` from `σ`
-/// (Fact 3 in the paper): `|Pr[A(ρ)=s] − Pr[A(σ)=s]| ≤ D(ρ, σ)` for every
-/// algorithm `A` and outcome `s`. Returned for symmetry with the paper's
-/// statement; numerically identical to [`trace_distance`].
-pub fn distinguishing_advantage(rho: &DensityMatrix, sigma: &DensityMatrix) -> f64 {
-    trace_distance(rho, sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,7 @@
 //! [`crate::swap_test`] produce — scatter in `O(D)` instead of `O(D · block)`.
 //! Single-qubit (block = 2) dense operators use an unrolled 2×2 path.
 //!
-//! # Plans and shims (PR 5)
+//! # Plans
 //!
 //! All of the per-call metadata above — the `TargetLayout`, the structural
 //! classification of the operator (`OpData`: dense / diagonal / monomial /
@@ -38,30 +38,16 @@
 //! [`crate::plan::KernelPlan`] and the kernels proper are the `*_with`
 //! **plan executors** taking `&KernelPlan`: they derive nothing, allocate
 //! nothing (scratch is caller-owned [`crate::plan::PlanScratch`]), and only
-//! walk. The historical signatures survive as **compile-then-execute
-//! shims** (compile a fresh plan, run the executor), so one-shot callers and
-//! the oracle tests are unchanged; batch loops compile the plan once — or
-//! fetch it from the lock-free-read [`crate::plan`] cache — and call the
-//! executors directly.
-//!
-//! With the `parallel` crate feature the outer odometer loop of the two large
-//! kernels is split across the persistent worker threads of [`crate::pool`]
-//! (rayon cannot be vendored in this offline build environment). The pool's
-//! parked threads replace the per-call `std::thread::scope` spawn this module
-//! used through PR 3, so the dispatch cost is a park/unpark handshake instead
-//! of thread creation — which is what lets the threshold below stay at the
-//! same value while the break-even shape shrinks.
+//! walk. One-shot callers compile a fresh plan and run the executor
+//! ([`conjugate_matrix`] is the one such shim kept here); batch loops compile
+//! the plan once — or fetch it from the lock-free-read [`crate::plan`] cache
+//! — and call the executors directly.
 
 use crate::complex::Complex;
 use crate::linalg::split::{Split, SplitMut};
 use crate::linalg::CMatrix;
 use crate::plan::{ClassData, KernelPlan, PlanScratch};
 use crate::state::total_dim;
-
-/// Minimum number of scalar operations before the `parallel` feature spawns
-/// threads; below this the spawn overhead dominates.
-#[cfg(feature = "parallel")]
-const PARALLEL_THRESHOLD: usize = 1 << 15;
 
 /// Row-major subsystem strides: `strides[i]` is the flat-index distance
 /// between consecutive values of subsystem `i` (last subsystem fastest).
@@ -362,27 +348,10 @@ impl Scratch {
 /// Applies a local operator to a state vector in place:
 /// `|ψ⟩ → embed(op) |ψ⟩` without materialising the embedded operator.
 ///
-/// `amps` is the split view of the amplitude vector over subsystems of
-/// dimensions `dims`; `targets` lists the subsystems the operator acts on,
-/// in the order matching the operator's tensor-factor ordering.
-///
-/// Compile-then-execute shim over [`apply_to_state_vector_with`]: callers
-/// applying the same `(dims, targets, op)` many times should compile a
-/// [`KernelPlan`] once and use the executor directly.
-///
-/// # Panics
-///
-/// Panics if targets repeat or are out of range, if `op` is not square of the
-/// product of target dimensions, or if `amps.len()` differs from the product
-/// of `dims`.
-pub fn apply_to_state_vector(amps: SplitMut<'_>, dims: &[usize], targets: &[usize], op: &CMatrix) {
-    let plan = KernelPlan::for_operator(dims, targets, op);
-    apply_to_state_vector_with(amps, &plan, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`apply_to_state_vector`]: applies the operator compiled
-/// into `plan` ([`KernelPlan::for_operator`] or stronger) with zero metadata
-/// derivation — dispatch, strides and gather maps all come from the plan.
+/// `amps` is the split view of the amplitude vector over the plan's
+/// register; the operator, its targets and their order come from `plan`
+/// ([`KernelPlan::for_operator`] or stronger), so dispatch, strides and
+/// gather maps are never re-derived per call.
 ///
 /// # Panics
 ///
@@ -400,7 +369,6 @@ pub fn apply_to_state_vector_with(
         plan.lay(),
         plan.op_fwd(),
         false,
-        true,
         &mut scratch.gather,
     );
 }
@@ -414,17 +382,14 @@ pub fn apply_to_state_vector_with(
 /// `scratch` is a caller-owned gather buffer pair: callers invoking this
 /// kernel many times (once per matrix row) pass the same buffers so the
 /// allocation happens once per gate, not once per row.
-#[allow(clippy::too_many_arguments)]
 fn apply_vec(
     re: &mut [f64],
     im: &mut [f64],
     lay: &TargetLayout,
     data: &OpData,
     transposed: bool,
-    parallel_ok: bool,
     scratch: &mut Scratch,
 ) {
-    let _ = parallel_ok;
     // Equal-length reslice: lets the optimiser fold the imaginary plane's
     // bounds checks into the real plane's (same index, same length).
     let im = &mut im[..re.len()];
@@ -504,19 +469,6 @@ fn apply_vec(
             });
         }
         OpData::Dense { re: ure, im: uim } => {
-            #[cfg(feature = "parallel")]
-            {
-                // `parallel_ok` is false when the caller invokes this kernel
-                // once per matrix row: spawning a thread scope per row would
-                // cost far more than the row's work (the caller parallelises
-                // across rows instead).
-                if parallel_ok
-                    && lay.other_total * block * block >= PARALLEL_THRESHOLD
-                    && apply_vec_dense_parallel(re, im, lay, ure, uim, transposed)
-                {
-                    return;
-                }
-            }
             if block == 2 {
                 // Unrolled 2×2 path, in registers, no scratch. The transposed
                 // action is the same update with the operator transposed.
@@ -549,9 +501,6 @@ fn apply_vec(
 
 /// Gather, dense block multiply, scatter — one target block at `base`, as
 /// paired re/im fused multiply-add loops.
-///
-/// NOTE: `apply_vec_dense_parallel` (feature `parallel`) carries a raw-pointer
-/// twin of this body — keep the two in sync when changing either.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn dense_block(
@@ -596,122 +545,6 @@ fn dense_block(
             im[base + off] = acc_im;
         }
     }
-}
-
-#[cfg(feature = "parallel")]
-mod par {
-    /// Raw plane pointers that may cross thread boundaries. Safety rests on
-    /// the caller handing each pool job a disjoint set of indices. The
-    /// pointers are only reachable through [`SendPlanes::re`]/
-    /// [`SendPlanes::im`], so edition-2021 disjoint closure capture grabs the
-    /// (Send + Sync) wrapper, not the raw fields.
-    pub(super) struct SendPlanes(*mut f64, *mut f64);
-    unsafe impl Send for SendPlanes {}
-    // Safety: shared by reference into pool jobs whose chunks write disjoint
-    // flat indices of both planes (see the dispatch sites for the argument).
-    unsafe impl Sync for SendPlanes {}
-    impl SendPlanes {
-        pub(super) fn new(re: *mut f64, im: *mut f64) -> Self {
-            SendPlanes(re, im)
-        }
-        pub(super) fn re(&self) -> *mut f64 {
-            self.0
-        }
-        pub(super) fn im(&self) -> *mut f64 {
-            self.1
-        }
-    }
-}
-
-/// Worker count for the `parallel` feature — delegates to
-/// [`crate::pool::worker_count`] (the `QSIM_PARALLEL_THREADS`-or-host
-/// policy, read once and memoised; results are identical for any value
-/// because pool jobs write disjoint index sets).
-///
-/// Public so benchmark harnesses can label their reports with the exact
-/// worker count the kernels will use, rather than re-deriving the policy.
-#[cfg(feature = "parallel")]
-pub fn parallel_threads() -> usize {
-    crate::pool::worker_count()
-}
-
-/// Parallel dense path: splits the non-target odometer across the persistent
-/// pool workers ([`crate::pool`]) in chunked index ranges — no per-call
-/// thread spawn. Returns `false` when only one worker is available (caller
-/// falls back). The per-base body is a raw-pointer twin of [`dense_block`] —
-/// keep the two in sync when changing either.
-///
-/// Safety: the flat indices `base + offset` visited by distinct non-target
-/// bases are disjoint (the target offsets and the non-target bases decompose
-/// every flat index uniquely), chunks partition the base range, and gather
-/// scratch is per worker slot — so concurrent jobs write disjoint elements
-/// of both planes.
-#[cfg(feature = "parallel")]
-fn apply_vec_dense_parallel(
-    re: &mut [f64],
-    im: &mut [f64],
-    lay: &TargetLayout,
-    ure: &[f64],
-    uim: &[f64],
-    transposed: bool,
-) -> bool {
-    let threads = parallel_threads().min(lay.other_total);
-    if threads <= 1 {
-        return false;
-    }
-    let block = lay.block;
-    let planes = par::SendPlanes::new(re.as_mut_ptr(), im.as_mut_ptr());
-    let chunk = lay.other_total.div_ceil(threads);
-    let nchunks = lay.other_total.div_ceil(chunk);
-    let scratch = crate::pool::SlotScratch::new(threads, Scratch::default);
-    let offsets = &lay.offsets;
-    let other_total = lay.other_total;
-    crate::pool::global().dispatch(threads, nchunks, &|slot, c| {
-        let lo = c * chunk;
-        let hi = ((c + 1) * chunk).min(other_total);
-        // Safety: `slot` is the pool-provided slot id of this job.
-        let s = unsafe { scratch.get(slot) };
-        s.resize(block);
-        let (sre, sim) = (&mut s.re[..block], &mut s.im[..block]);
-        let (pre, pim) = (planes.re(), planes.im());
-        lay.bases[lo..hi].iter().for_each(|&base| {
-            for (b, &off) in offsets.iter().enumerate() {
-                sre[b] = unsafe { *pre.add(base + off) };
-                sim[b] = unsafe { *pim.add(base + off) };
-            }
-            if transposed {
-                for (j, &off) in offsets.iter().enumerate() {
-                    let mut acc_re = 0.0;
-                    let mut acc_im = 0.0;
-                    for r in 0..block {
-                        let (ur, ui) = (ure[r * block + j], uim[r * block + j]);
-                        acc_re += sre[r] * ur - sim[r] * ui;
-                        acc_im += sre[r] * ui + sim[r] * ur;
-                    }
-                    unsafe {
-                        *pre.add(base + off) = acc_re;
-                        *pim.add(base + off) = acc_im;
-                    }
-                }
-            } else {
-                for (r, &off) in offsets.iter().enumerate() {
-                    let urow_re = &ure[r * block..(r + 1) * block];
-                    let urow_im = &uim[r * block..(r + 1) * block];
-                    let mut acc_re = 0.0;
-                    let mut acc_im = 0.0;
-                    for c in 0..block {
-                        acc_re += urow_re[c] * sre[c] - urow_im[c] * sim[c];
-                        acc_im += urow_re[c] * sim[c] + urow_im[c] * sre[c];
-                    }
-                    unsafe {
-                        *pre.add(base + off) = acc_re;
-                        *pim.add(base + off) = acc_im;
-                    }
-                }
-            }
-        });
-    });
-    true
 }
 
 /// Left-multiply core: `M → embed(data) · M` over a compiled layout.
@@ -845,72 +678,25 @@ fn left_multiply_core(mat: &mut CMatrix, lay: &TargetLayout, data: &OpData, scra
 }
 
 /// Right-multiply core: `M → M · embed(data)` — the transposed vector kernel
-/// applied to each (contiguous, in both planes) row. Per-row parallelism
-/// inside `apply_vec` is disabled — a pool dispatch per row would dwarf the
-/// row's work — and the `parallel` feature splits row ranges across the
-/// persistent pool workers instead. Safety: chunks cover disjoint row
-/// ranges, rows are contiguous in both planes, and the gather scratch is per
-/// worker slot.
+/// applied to each (contiguous, in both planes) row.
 fn right_multiply_core(
     mat: &mut CMatrix,
     lay: &TargetLayout,
     data: &OpData,
     scratch: &mut Scratch,
 ) {
-    let nrows = mat.rows();
     let ctotal = mat.cols();
-    #[cfg(feature = "parallel")]
-    {
-        let threads = parallel_threads().min(nrows);
-        if threads > 1 && nrows * ctotal * lay.block >= PARALLEL_THRESHOLD {
-            let rows_per_chunk = nrows.div_ceil(threads);
-            let nchunks = nrows.div_ceil(rows_per_chunk);
-            let split = mat.split_mut();
-            let planes = par::SendPlanes::new(split.re.as_mut_ptr(), split.im.as_mut_ptr());
-            let slot_scratch = crate::pool::SlotScratch::new(threads, Scratch::default);
-            crate::pool::global().dispatch(threads, nchunks, &|slot, c| {
-                let lo = c * rows_per_chunk;
-                let hi = ((c + 1) * rows_per_chunk).min(nrows);
-                // Safety: `slot` is the pool-provided slot id of this job.
-                let s = unsafe { slot_scratch.get(slot) };
-                let (pre, pim) = (planes.re(), planes.im());
-                for row in lo..hi {
-                    // Safety: row ranges of distinct chunks are disjoint.
-                    let row_re =
-                        unsafe { std::slice::from_raw_parts_mut(pre.add(row * ctotal), ctotal) };
-                    let row_im =
-                        unsafe { std::slice::from_raw_parts_mut(pim.add(row * ctotal), ctotal) };
-                    apply_vec(row_re, row_im, lay, data, true, false, s);
-                }
-            });
-            return;
-        }
-    }
-    let _ = nrows;
     let split = mat.split_mut();
     for (row_re, row_im) in split.re.chunks_mut(ctotal).zip(split.im.chunks_mut(ctotal)) {
-        apply_vec(row_re, row_im, lay, data, true, false, scratch);
+        apply_vec(row_re, row_im, lay, data, true, scratch);
     }
 }
 
-/// Left-multiplies a matrix by an embedded local operator in place:
-/// `M → embed(op) · M`, without materialising `embed(op)`.
+/// Left-multiplies a matrix by the embedded local operator of `plan` in
+/// place: `M → embed(op) · M`, without materialising `embed(op)`.
 ///
-/// `M` has `total_dim(dims)` rows (its row index ranges over the composite
-/// register) and any number of columns. Cost `O(rows · cols · block)`.
-///
-/// Compile-then-execute shim over [`left_multiply_matrix_with`].
-///
-/// # Panics
-///
-/// Panics on target/operator shape mismatches, or if `mat.rows()` differs
-/// from the product of `dims`.
-pub fn left_multiply_matrix(mat: &mut CMatrix, dims: &[usize], targets: &[usize], op: &CMatrix) {
-    let plan = KernelPlan::for_operator(dims, targets, op);
-    left_multiply_matrix_with(mat, &plan, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`left_multiply_matrix`].
+/// `M` has one row per basis state of the plan's register and any number of
+/// columns. Cost `O(rows · cols · block)`.
 ///
 /// # Panics
 ///
@@ -921,24 +707,11 @@ pub fn left_multiply_matrix_with(mat: &mut CMatrix, plan: &KernelPlan, scratch: 
     left_multiply_core(mat, plan.lay(), plan.op_fwd(), &mut scratch.gather);
 }
 
-/// Right-multiplies a matrix by an embedded local operator in place:
-/// `M → M · embed(op)`, without materialising `embed(op)`.
+/// Right-multiplies a matrix by the embedded local operator of `plan` in
+/// place: `M → M · embed(op)`, without materialising `embed(op)`.
 ///
-/// `M` has `total_dim(dims)` columns (its column index ranges over the
-/// composite register) and any number of rows. Cost `O(rows · cols · block)`.
-///
-/// Compile-then-execute shim over [`right_multiply_matrix_with`].
-///
-/// # Panics
-///
-/// Panics on target/operator shape mismatches, or if `mat.cols()` differs
-/// from the product of `dims`.
-pub fn right_multiply_matrix(mat: &mut CMatrix, dims: &[usize], targets: &[usize], op: &CMatrix) {
-    let plan = KernelPlan::for_operator(dims, targets, op);
-    right_multiply_matrix_with(mat, &plan, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`right_multiply_matrix`].
+/// `M` has one column per basis state of the plan's register and any number
+/// of rows. Cost `O(rows · cols · block)`.
 ///
 /// # Panics
 ///
@@ -1099,34 +872,15 @@ pub fn apply_kraus_with(
 }
 
 /// Trace of an embedded monomial operator against a square matrix:
-/// `tr(embed(A) · M)` where `A` is the block operator with exactly one
-/// nonzero per row, `A[r, src[r]] = phase[r]`.
+/// `tr(embed(A) · M)` where `A` is the block operator of `plan` with exactly
+/// one nonzero per row, `A[r, src[r]] = phase[r]` (e.g. a
+/// [`KernelPlan::for_monomial_trace`] plan).
 ///
 /// Permutation unitaries `U_π` (and SWAP in particular) are monomial, so this
 /// is the `O(D)` stride walk behind the matrix-free SWAP/permutation tests:
 /// `tr(embed(A)·M) = Σ_base Σ_r phase[r] · M[base+off_{src[r]}, base+off_r]`
-/// visits each of the `D = total_dim(dims)` per-base block entries once —
-/// no operator, embedded or block-local, is ever materialised.
-///
-/// Compile-then-execute shim over [`monomial_embedded_trace_with`].
-///
-/// # Panics
-///
-/// Panics if `M` is not square of dimension `total_dim(dims)`, or if
-/// `src`/`phase` do not have one entry per target-block index.
-pub fn monomial_embedded_trace(
-    mat: &CMatrix,
-    dims: &[usize],
-    targets: &[usize],
-    src: &[usize],
-    phase: &[Complex],
-) -> Complex {
-    let plan = KernelPlan::for_monomial_trace(dims, targets, src, phase);
-    monomial_embedded_trace_with(mat, &plan)
-}
-
-/// Plan executor of [`monomial_embedded_trace`] over a plan carrying a
-/// monomial operator (e.g. [`KernelPlan::for_monomial_trace`]).
+/// visits each of the `D` per-base block entries once — no operator,
+/// embedded or block-local, is ever materialised.
 ///
 /// # Panics
 ///
@@ -1175,10 +929,10 @@ pub fn monomial_embedded_trace_with(mat: &CMatrix, plan: &KernelPlan) -> Complex
 /// digits under `S_k` (see [`crate::permutation::symmetric_classes`], whose
 /// single memoised home is [`crate::plan::symmetric_classes`]), `P` is
 /// exactly the symmetric-subspace projector `Π_sym = (1/k!) Σ_π U_π`, so
-/// the [`project_classes_rows`]/[`project_classes_cols`] pair implements the
-/// post-measurement effect `Π_sym ρ Π_sym` of the permutation test as an
-/// in-place register symmetrisation — `O(D²)` with no `k!` factor and no
-/// projector allocation.
+/// the [`project_classes_rows_with`]/[`project_classes_cols_with`] pair
+/// implements the post-measurement effect `Π_sym ρ Π_sym` of the permutation
+/// test as an in-place register symmetrisation — `O(D²)` with no `k!` factor
+/// and no projector allocation.
 #[derive(Clone, Debug)]
 pub struct BlockClasses {
     /// Class id of each target-block index.
@@ -1197,24 +951,11 @@ impl BlockClasses {
     }
 }
 
-/// Applies the class-averaging projector of `classes` to a single vector over
-/// the composite register, in place: `v → embed(P) v` (or `(I − P) v` with
-/// `complement`). Each amplitude is visited a constant number of times: `O(D)`.
-///
-/// Compile-then-execute shim over [`project_classes_vector_with`].
-pub fn project_classes_vector(
-    amps: SplitMut<'_>,
-    dims: &[usize],
-    targets: &[usize],
-    classes: &BlockClasses,
-    complement: bool,
-) {
-    let plan = KernelPlan::for_classes(dims, targets, classes);
-    project_classes_vector_with(amps, &plan, complement, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`project_classes_vector`] over a class plan
-/// ([`KernelPlan::for_classes`] / [`KernelPlan::for_symmetric`]).
+/// Applies the class-averaging projector of a class plan
+/// ([`KernelPlan::for_classes`] / [`KernelPlan::for_symmetric`]) to a single
+/// vector over the composite register, in place: `v → embed(P) v` (or
+/// `(I − P) v` with `complement`). Each amplitude is visited a constant
+/// number of times: `O(D)`.
 pub fn project_classes_vector_with(
     amps: SplitMut<'_>,
     plan: &KernelPlan,
@@ -1277,20 +1018,7 @@ fn project_vector_core(
 /// Squared norm of the class-averaging projection of a vector, without
 /// materialising the projected vector: `‖embed(P) v‖² = Σ_class |Σ v|²/|class|`
 /// summed per base. This is the acceptance probability of the permutation
-/// test on a pure state when `classes` are the `S_k` digit orbits.
-///
-/// Compile-then-execute shim over [`class_projection_weight_with`].
-pub fn class_projection_weight(
-    amps: Split<'_>,
-    dims: &[usize],
-    targets: &[usize],
-    classes: &BlockClasses,
-) -> f64 {
-    let plan = KernelPlan::for_classes(dims, targets, classes);
-    class_projection_weight_with(amps, &plan, &mut PlanScratch::default())
-}
-
-/// Plan executor of [`class_projection_weight`] over a class plan.
+/// test on a pure state when the plan's classes are the `S_k` digit orbits.
 pub fn class_projection_weight_with(
     amps: Split<'_>,
     plan: &KernelPlan,
@@ -1330,22 +1058,8 @@ pub fn class_projection_weight_with(
 /// `(1/k!) Σ_π tr(embed(U_π)·M)` — the permutation-test acceptance — with the
 /// `k!` monomial gathers regrouped by orbit, so the cost per base drops from
 /// `k!·block` to `Σ_orbit |orbit|² ≤ k!·block` and the permutations are never
-/// enumerated.
-///
-/// Compile-then-execute shim over [`class_projection_trace_with`]; the plan
-/// carries the per-class offset gather lists pre-grouped (flat, one
-/// allocation), where this shim used to rebuild a vector-of-vectors per call.
-pub fn class_projection_trace(
-    mat: &CMatrix,
-    dims: &[usize],
-    targets: &[usize],
-    classes: &BlockClasses,
-) -> Complex {
-    let plan = KernelPlan::for_classes(dims, targets, classes);
-    class_projection_trace_with(mat, &plan)
-}
-
-/// Plan executor of [`class_projection_trace`] over a class plan.
+/// enumerated. The class plan carries the per-class offset gather lists
+/// pre-grouped (flat, one allocation).
 pub fn class_projection_trace_with(mat: &CMatrix, plan: &KernelPlan) -> Complex {
     assert!(
         mat.rows() == plan.total_dim() && mat.cols() == mat.rows(),
@@ -1377,23 +1091,10 @@ pub fn class_projection_trace_with(mat: &CMatrix, plan: &KernelPlan) -> Complex 
     Complex::new(acc_re, acc_im)
 }
 
-/// Left-multiplies a matrix by the embedded class-averaging projector in
-/// place: `M → embed(P) · M` (or `(I − P) · M` with `complement`), where `M`
-/// has `total_dim(dims)` rows. Cost `O(rows · cols)` — no `block` factor.
-///
-/// Compile-then-execute shim over [`project_classes_rows_with`].
-pub fn project_classes_rows(
-    mat: &mut CMatrix,
-    dims: &[usize],
-    targets: &[usize],
-    classes: &BlockClasses,
-    complement: bool,
-) {
-    let plan = KernelPlan::for_classes(dims, targets, classes);
-    project_classes_rows_with(mat, &plan, complement, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`project_classes_rows`] over a class plan.
+/// Left-multiplies a matrix by the embedded class-averaging projector of a
+/// class plan in place: `M → embed(P) · M` (or `(I − P) · M` with
+/// `complement`), where `M` has one row per basis state of the plan's
+/// register. Cost `O(rows · cols)` — no `block` factor.
 pub fn project_classes_rows_with(
     mat: &mut CMatrix,
     plan: &KernelPlan,
@@ -1656,24 +1357,11 @@ pub fn symmetrize_with(
     mat.mix_in_place(0.5, 0.5, tmp);
 }
 
-/// Right-multiplies a matrix by the embedded class-averaging projector in
-/// place: `M → M · embed(P)` (or `M · (I − P)` with `complement`), where `M`
-/// has `total_dim(dims)` columns. `P` is symmetric, so this is the row-wise
-/// application of [`project_classes_vector`]. Cost `O(rows · cols)`.
-///
-/// Compile-then-execute shim over [`project_classes_cols_with`].
-pub fn project_classes_cols(
-    mat: &mut CMatrix,
-    dims: &[usize],
-    targets: &[usize],
-    classes: &BlockClasses,
-    complement: bool,
-) {
-    let plan = KernelPlan::for_classes(dims, targets, classes);
-    project_classes_cols_with(mat, &plan, complement, &mut PlanScratch::default());
-}
-
-/// Plan executor of [`project_classes_cols`] over a class plan.
+/// Right-multiplies a matrix by the embedded class-averaging projector of a
+/// class plan in place: `M → M · embed(P)` (or `M · (I − P)` with
+/// `complement`), where `M` has one column per basis state of the plan's
+/// register. `P` is symmetric, so this is the row-wise application of
+/// [`project_classes_vector_with`]. Cost `O(rows · cols)`.
 pub fn project_classes_cols_with(
     mat: &mut CMatrix,
     plan: &KernelPlan,
@@ -1751,9 +1439,9 @@ mod tests {
 
     #[test]
     fn materialised_bases_split_cleanly() {
-        // The parallel kernels chunk `bases` by range: any split must
-        // reconstitute the full walk, and the walk must cover every base of
-        // a register with no targets exactly once.
+        // Any range split of `bases` must reconstitute the full walk, and
+        // the walk must cover every base of a register with no targets
+        // exactly once.
         let dims = [3usize, 2, 2];
         let lay = layout(&dims, &[]);
         assert_eq!(lay.bases.len(), 12);
@@ -1805,7 +1493,8 @@ mod tests {
         let u = gen.random_unitary(6);
         let m = CMatrix::from_fn(12, 12, |i, j| Complex::new(i as f64, j as f64));
         let mut fast = m.clone();
-        right_multiply_matrix(&mut fast, &dims, &targets, &u);
+        let plan = KernelPlan::for_operator(&dims, &targets, &u);
+        right_multiply_matrix_with(&mut fast, &plan, &mut PlanScratch::default());
         let slow = m.matmul(&crate::density::embed_operator(&dims, &targets, &u));
         assert!(fast.approx_eq(&slow, 1e-9));
     }
@@ -1820,7 +1509,8 @@ mod tests {
         let mut gen = RandomStateGenerator::new(13);
         let psi = gen.random_pure(&dims);
         let mut fast = SplitBuffer::from_complex(&psi.amplitudes().to_complex_vec());
-        apply_to_state_vector(fast.split_mut(), &dims, &[1], &phase);
+        let plan = KernelPlan::for_operator(&dims, &[1], &phase);
+        apply_to_state_vector_with(fast.split_mut(), &plan, &mut PlanScratch::default());
         let slow = crate::density::embed_operator(&dims, &[1], &phase).apply(psi.amplitudes());
         assert!(CVector::from_buffer(fast).approx_eq(&slow, 1e-12));
     }

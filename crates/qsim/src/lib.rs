@@ -66,8 +66,8 @@
 //!   symmetric-subspace projector. Acceptance probabilities are evaluated as
 //!   `tr(Π_sym ρ) = (1/k!) Σ_π tr(embed(U_π) ρ)`: each `U_π` is monomial, so
 //!   each term is an `O(D)` gather over permuted index pairs
-//!   ([`kernels::monomial_embedded_trace`]), and the sum is regrouped by
-//!   `S_k` digit orbit ([`kernels::class_projection_trace`]) so at most
+//!   ([`kernels::monomial_embedded_trace_with`]), and the sum is regrouped
+//!   by `S_k` digit orbit ([`kernels::class_projection_trace_with`]) so at most
 //!   `k!·D` — and typically far fewer — entries are visited, with zero
 //!   projector allocation. The post-measurement effects `Π_sym ρ Π_sym` and
 //!   `(I−Π_sym) ρ (I−Π_sym)` run as in-place register symmetrisation — class
@@ -98,8 +98,8 @@
 //!   [`plan::compile_count`] lets benchmarks assert it), or fetched from the
 //!   **lock-free-read plan cache** ([`plan::cached_symmetric`],
 //!   [`plan::cached_layout`]) used by the per-call measurement entry points
-//!   in [`swap_test`] and [`permutation`]. Every pre-plan signature survives
-//!   as a compile-then-execute shim, and the `S_k` orbit/permutation
+//!   in [`swap_test`] and [`permutation`]. One-shot entry points compile a
+//!   fresh plan per call and run its executor, and the `S_k` orbit/permutation
 //!   metadata previously derived independently by `swap_test`, `permutation`
 //!   and the kernels is memoised once in [`plan`]
 //!   ([`plan::symmetric_classes`], [`plan::permutation_src`]).
@@ -128,13 +128,10 @@
 //!   workspace builds offline) with chunked index-range dispatch, slot-scoped
 //!   reusable scratch arenas ([`pool::SlotScratch`]) and a memoised
 //!   `QSIM_PARALLEL_THREADS`-or-host worker-count policy
-//!   ([`pool::worker_count`]). The `parallel` feature routes the outer
-//!   odometer loop of the large kernels through it — amortising what used to
-//!   be a per-call `std::thread::scope` spawn — and the batched Monte-Carlo
-//!   trial engines of the `dqma` crate drive it directly for
-//!   millions-of-rounds sweeps. Off by default for the kernels; exact
-//!   results are identical either way, and the pool itself is always
-//!   available.
+//!   ([`pool::worker_count`]). The batched Monte-Carlo trial engines of the
+//!   `dqma` crate drive it for millions-of-rounds sweeps, one block of trials
+//!   per chunk; the kernels themselves stay single-threaded. The pool is
+//!   always compiled, and accept counts do not depend on its width.
 //!
 //! The pre-kernel implementations survive in [`naive`] as reference oracles:
 //! randomized property tests pin the kernels to them within `1e-12`, and the

@@ -208,11 +208,6 @@ impl CMatrix {
         self.buf.scale_real_in_place(s);
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |i, j| self.at(j, i))
-    }
-
     /// Entrywise complex conjugate.
     pub fn conj(&self) -> CMatrix {
         CMatrix::from_fn(self.rows, self.cols, |i, j| self.at(i, j).conj())

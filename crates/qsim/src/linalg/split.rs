@@ -236,16 +236,6 @@ impl SplitMut<'_> {
         self.re[i] = z.re;
         self.im[i] = z.im;
     }
-
-    /// Reborrows the view with a shorter lifetime (so it can be handed to a
-    /// callee without giving it up).
-    #[inline]
-    pub fn reborrow(&mut self) -> SplitMut<'_> {
-        SplitMut {
-            re: self.re,
-            im: self.im,
-        }
-    }
 }
 
 #[cfg(test)]

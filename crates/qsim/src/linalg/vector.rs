@@ -131,11 +131,6 @@ impl CVector {
         self.buf.iter()
     }
 
-    /// Consumes the vector and returns the entries interleaved.
-    pub fn into_vec(self) -> Vec<Complex> {
-        self.buf.to_complex_vec()
-    }
-
     /// Returns the entries as an interleaved (AoS) vector — the boundary
     /// conversion the [`crate::naive`] oracles use.
     pub fn to_complex_vec(&self) -> Vec<Complex> {

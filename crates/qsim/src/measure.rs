@@ -108,11 +108,6 @@ impl Povm {
     pub fn sample<R: Rng + ?Sized>(&self, rho: &DensityMatrix, rng: &mut R) -> usize {
         sample_index(&self.probabilities(rho), rng)
     }
-
-    /// Samples an outcome index on a pure state.
-    pub fn sample_pure<R: Rng + ?Sized>(&self, psi: &PureState, rng: &mut R) -> usize {
-        sample_index(&self.probabilities_pure(psi), rng)
-    }
 }
 
 /// Samples an index from an (unnormalised) probability vector.

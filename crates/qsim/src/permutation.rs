@@ -11,7 +11,7 @@ use crate::complex::Complex;
 use crate::density::DensityMatrix;
 use crate::kernels::{self, BlockClasses};
 use crate::linalg::CMatrix;
-use crate::plan::{self, PlanScratch};
+use crate::plan::{self, KernelPlan, PlanScratch};
 use crate::state::{flat_index, unflatten_index, PureState};
 use rand::Rng;
 
@@ -125,7 +125,7 @@ fn assert_equal_target_dims(rho: &DensityMatrix, targets: &[usize]) -> usize {
 /// registers, each of dimension `d` (Lemma 15): `tr(Π_sym ρ)`.
 ///
 /// Matrix-free: computed as `(1/k!) Σ_π tr(U_π ρ)` where each `tr(U_π ρ)` is
-/// an `O(D)` gather over permuted index pairs ([`kernels::monomial_embedded_trace`])
+/// an `O(D)` gather over permuted index pairs ([`kernels::monomial_embedded_trace_with`])
 /// — `O(k!·D)` total, with zero projector allocation. The dense-projector
 /// path survives as [`crate::naive::permutation_test_acceptance`].
 ///
@@ -183,8 +183,8 @@ pub fn permutation_test_acceptance_gram(states: &[PureState]) -> f64 {
 
 /// `tr(embed(U_π) · ρ)` for a single register permutation `π` of the listed
 /// (equal-dimension) targets: an `O(D)` gather over permuted index pairs
-/// through [`kernels::monomial_embedded_trace`] — each `U_π` is monomial, so
-/// no operator is ever built.
+/// through [`kernels::monomial_embedded_trace_with`] — each `U_π` is
+/// monomial, so no operator is ever built.
 pub fn permutation_unitary_expectation(
     rho: &DensityMatrix,
     targets: &[usize],
@@ -194,7 +194,8 @@ pub fn permutation_unitary_expectation(
     assert_eq!(perm.len(), targets.len(), "permutation length mismatch");
     let src = plan::permutation_src(d, perm);
     let phase = vec![Complex::ONE; src.len()];
-    kernels::monomial_embedded_trace(rho.matrix(), rho.dims(), targets, &src, &phase)
+    let plan = KernelPlan::for_monomial_trace(rho.dims(), targets, &src, &phase);
+    kernels::monomial_embedded_trace_with(rho.matrix(), &plan)
 }
 
 /// Acceptance probability of the permutation test applied to a subset of the
@@ -202,7 +203,7 @@ pub fn permutation_unitary_expectation(
 ///
 /// Matrix-free: `tr(Π_sym ρ) = (1/k!) Σ_π tr(embed(U_π) ρ)`, each term an
 /// `O(D)` monomial gather ([`permutation_unitary_expectation`]); the sum is
-/// evaluated in its orbit-grouped form ([`kernels::class_projection_trace`]),
+/// evaluated in its orbit-grouped form ([`kernels::class_projection_trace_with`]),
 /// which regroups the `k!` gathers by digit orbit — at most `k!·D` and
 /// typically far fewer visited entries, with zero projector allocation. The
 /// dense-projector path survives as

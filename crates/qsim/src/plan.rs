@@ -28,9 +28,10 @@
 //!   is bounded by the number of *distinct* register shapes ever cached (a
 //!   handful per process), and reclaiming them safely would require exactly
 //!   the reader synchronisation the cache exists to avoid.
-//! * **Use the historical signatures** — every pre-plan entry point survives
-//!   as a compile-then-execute shim, so one-shot callers pay roughly the old
-//!   per-call derivation cost and nothing changes for them.
+//! * **One-shot entry points** (`PureState::apply_unitary`,
+//!   `DensityMatrix::apply_unitary`, the permutation-test traces) compile a
+//!   fresh plan per call and run the executor, so they pay roughly the old
+//!   per-call derivation cost.
 //!
 //! This module is also the **single home** of the `S_k` metadata that
 //! `swap_test`, `permutation` and the kernels each used to derive on their
@@ -89,7 +90,7 @@ fn note_compile() {
 /// Class-projection tables of a plan: the orbit partition in flat gather
 /// form. `member_offsets[class_start[c]..class_start[c+1]]` are the layout
 /// offsets of the block indices in class `c` (the gather list of
-/// `class_projection_trace`), `inv_size[c] = 1/|class c|`.
+/// `class_projection_trace_with`), `inv_size[c] = 1/|class c|`.
 pub(crate) struct ClassData {
     pub(crate) class_of: Vec<usize>,
     pub(crate) inv_size: Vec<f64>,

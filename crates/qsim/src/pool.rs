@@ -1,14 +1,7 @@
-//! Persistent worker-pool runtime for data-parallel kernels and batched
-//! Monte-Carlo trial engines.
+//! Persistent worker-pool runtime for batched Monte-Carlo trial engines.
 //!
-//! Before this module, the `parallel` feature paid a full
-//! `std::thread::scope` — thread spawn, stack allocation, join — on **every**
-//! kernel call. That amortises fine for one large conjugation, but the
-//! protocol round shapes that dominate `BENCH_protocols.json` are sub-µs:
-//! spawn cost alone dwarfs the work, so scoped threads could never win there,
-//! and a Monte-Carlo sweep over millions of rounds would spawn millions of
-//! threads.
-//!
+//! A Monte-Carlo sweep over millions of sub-µs protocol rounds cannot pay a
+//! `std::thread::scope` spawn per call: spawn cost alone dwarfs the work.
 //! [`WorkerPool`] instead keeps **long-lived parked worker threads** (std
 //! only — no external dependency, consistent with the vendored-`rand` offline
 //! build). A dispatch publishes one job — a `Fn(slot, chunk)` closure plus a
@@ -28,7 +21,7 @@
 //!   entire dispatch (and across dispatches, if the caller keeps them), so
 //!   per-trial allocations can be hoisted out of hot loops.
 //! * **Reentrancy and contention degrade to inline.** A dispatch from inside
-//!   a job (e.g. a pooled kernel called from a pooled trial engine), or a
+//!   a job (a nested pooled call from a pooled trial engine), or a
 //!   concurrent dispatch from another thread, simply runs the job inline on
 //!   the calling thread — correctness never depends on pool availability.
 //! * **Panic containment.** A job panic on a worker is caught, the pool stays

@@ -66,12 +66,6 @@ impl CounterRng {
     pub fn for_trial_key(block_key: u64, trial: u64) -> Self {
         CounterRng::new(block_key ^ trial.wrapping_add(1).wrapping_mul(TRIAL_GAMMA))
     }
-
-    /// Convenience composition of [`CounterRng::block_key`] and
-    /// [`CounterRng::for_trial_key`].
-    pub fn for_trial(seed: u64, block: u64, trial: u64) -> Self {
-        CounterRng::for_trial_key(CounterRng::block_key(seed, block), trial)
-    }
 }
 
 impl RngCore for CounterRng {
@@ -154,11 +148,6 @@ impl RandomStateGenerator {
     /// Samples a uniformly random bit string of length `n`.
     pub fn random_bits(&mut self, n: usize) -> Vec<bool> {
         (0..n).map(|_| self.rng.random::<bool>()).collect()
-    }
-
-    /// Returns a mutable reference to the underlying RNG for ad-hoc sampling.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 

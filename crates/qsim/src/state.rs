@@ -120,11 +120,6 @@ impl PureState {
         &self.dims
     }
 
-    /// Number of subsystems.
-    pub fn num_subsystems(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total Hilbert-space dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -225,7 +220,8 @@ impl PureState {
     /// Panics if targets are repeated, out of range, or if the matrix dimension
     /// does not match the product of the target dimensions.
     pub fn apply_unitary(&mut self, targets: &[usize], u: &CMatrix) {
-        kernels::apply_to_state_vector(self.amps.split_mut(), &self.dims, targets, u);
+        let plan = KernelPlan::for_operator(&self.dims, targets, u);
+        self.apply_unitary_with(&plan, &mut PlanScratch::default());
     }
 
     /// Plan executor of [`PureState::apply_unitary`]: applies the operator
@@ -245,29 +241,13 @@ impl PureState {
         kernels::apply_to_state_vector_with(self.amps.split_mut(), plan, scratch);
     }
 
-    /// Applies the embedded class-averaging projector `P` of the listed target
-    /// subsystems in place, without renormalising: `|ψ> → P |ψ>` (or
-    /// `(I−P)|ψ>` with `complement`). With the `S_k` digit-orbit classes of
-    /// [`crate::permutation::symmetric_classes`] this is the post-measurement
-    /// update of the SWAP/permutation test on a pure state, in `O(D)`.
-    pub fn apply_class_projector(
-        &mut self,
-        targets: &[usize],
-        classes: &kernels::BlockClasses,
-        complement: bool,
-    ) {
-        kernels::project_classes_vector(
-            self.amps.split_mut(),
-            &self.dims,
-            targets,
-            classes,
-            complement,
-        );
-    }
-
-    /// Plan executor of [`PureState::apply_class_projector`] over a class
-    /// plan ([`KernelPlan::for_classes`] / [`KernelPlan::for_symmetric`] /
-    /// [`crate::plan::cached_symmetric`]).
+    /// Applies the embedded class-averaging projector `P` of a class plan
+    /// ([`KernelPlan::for_classes`] / [`KernelPlan::for_symmetric`] /
+    /// [`crate::plan::cached_symmetric`]) in place, without renormalising:
+    /// `|ψ> → P |ψ>` (or `(I−P)|ψ>` with `complement`). With the `S_k`
+    /// digit-orbit classes of [`crate::permutation::symmetric_classes`] this
+    /// is the post-measurement update of the SWAP/permutation test on a pure
+    /// state, in `O(D)`.
     ///
     /// # Panics
     ///

@@ -92,26 +92,6 @@ pub fn swap_test_on<R: Rng + ?Sized>(
     permutation::permutation_test_on(rho, &[r1, r2], rng)
 }
 
-/// Performs the SWAP test on registers `r1` and `r2` of a larger *pure*
-/// state, sampling and collapsing in place — the pure-state fast path of the
-/// protocol samplers (`O(D)` per test).
-///
-/// Returns `true` on acceptance.
-pub fn swap_test_on_pure<R: Rng + ?Sized>(
-    psi: &mut PureState,
-    r1: usize,
-    r2: usize,
-    rng: &mut R,
-) -> bool {
-    let d = psi.dims()[r1];
-    assert_eq!(
-        d,
-        psi.dims()[r2],
-        "SWAP test registers must have equal dimension"
-    );
-    permutation::permutation_test_on_pure(psi, &[r1, r2], rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -371,12 +371,10 @@ fn effect_conjugation_matches_embedding() {
     assert!(fast.matrix().approx_eq(&slow, TOL));
 }
 
-/// With the `parallel` feature the dense kernel splits across threads once
-/// the state is large enough; the result must stay bit-compatible with the
-/// sequential oracle.
-#[cfg(feature = "parallel")]
+/// A 2-qubit dense gate on a 14-qubit state: the general dense block path
+/// (block 4, not the unrolled 2×2 one) over 4096 bases must match the oracle.
 #[test]
-fn parallel_kernel_matches_naive_on_large_state() {
+fn dense_kernel_matches_naive_on_large_state() {
     let mut gen = RandomStateGenerator::new(2013);
     let dims = vec![2usize; 14];
     let u = gen.random_unitary(4);

@@ -11,6 +11,7 @@ use qsim::permutation::{
     permutation_test_on_pure, project_complement_on, project_symmetric_on, right_project_symmetric,
     symmetric_projector,
 };
+use qsim::plan::{KernelPlan, PlanScratch};
 use qsim::swap_test::{swap_test_acceptance_on, swap_test_on};
 use qsim::{kernels, naive, Complex, DensityMatrix, PureState, RandomStateGenerator};
 use rand::rngs::StdRng;
@@ -243,8 +244,12 @@ fn class_projection_weight_matches_dense_norm() {
         let (dims, targets) = shape(d, k);
         let psi = gen.random_pure(&dims);
         let classes = qsim::permutation::symmetric_classes(d, k);
-        let fast =
-            kernels::class_projection_weight(psi.amplitudes().split(), &dims, &targets, &classes);
+        let plan = KernelPlan::for_classes(&dims, &targets, &classes);
+        let fast = kernels::class_projection_weight_with(
+            psi.amplitudes().split(),
+            &plan,
+            &mut PlanScratch::default(),
+        );
         let slow = naive::permutation_test_acceptance_on(&DensityMatrix::from_pure(&psi), &targets);
         assert!(
             (fast - slow).abs() < 1e-10,

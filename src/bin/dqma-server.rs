@@ -141,12 +141,6 @@ fn handle(stream: &TcpStream, svc: &Service, timeout: Duration, limits: http::Li
     let mut reader = stream;
     match http::read_request(&mut reader, limits) {
         Ok(req) => {
-            if req.method == "POST" && req.path == "/v1/shutdown" {
-                // Orderly remote stop (used by the harness): acknowledge,
-                // then exit the whole process.
-                respond(stream, 200, "{\"ok\":true}");
-                std::process::exit(0);
-            }
             let (status, body) = route(svc, &req.method, &req.path, &req.body);
             respond(stream, status, &body);
         }

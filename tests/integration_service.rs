@@ -234,6 +234,8 @@ fn malformed_and_oversized_requests_are_rejected_and_service_survives() {
     // Unknown paths and ids.
     assert_eq!(server.call("GET", "/nope", None).0, 404);
     assert_eq!(server.call("GET", "/v1/jobs/424242", None).0, 404);
+    // There is no remote stop: a client cannot exit the server.
+    assert_eq!(server.call("POST", "/v1/shutdown", None).0, 404);
     // Raw garbage on the socket (not even HTTP).
     if let Ok(mut s) = TcpStream::connect(&server.addr) {
         let _ = s.write_all(b"\x00\x01\x02 total garbage\r\n\r\n");
