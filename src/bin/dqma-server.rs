@@ -2,11 +2,25 @@
 //!
 //! A std-only HTTP/1.1 server over [`dqma::service`]: bounded admission
 //! with explicit `503 overloaded` shedding, per-request deadlines folded
-//! into partial reports, slow-client/malformed-request protection (socket
-//! read timeouts, head/body size caps, structured 4xx errors), an optional
-//! crash-recovery journal, and a hard cap on concurrent connections so the
-//! accept loop can never wedge. See [`dqma::service::route`] for the API
-//! surface.
+//! into partial reports, slow-client/malformed-request protection (a read
+//! deadline per request, head/body size caps, structured 4xx errors), an
+//! optional crash-recovery journal, and a hard cap on concurrent
+//! connections. See [`dqma::service::route`] for the API surface.
+//!
+//! Connections are served by self-accepting handler threads. Each blocks
+//! in `accept` on the shared listener and serves the connection it gets on
+//! its own thread, so a request pays neither a hand-off nor a thread start;
+//! the main thread is one of them. Threads start lazily: a thread that
+//! takes a connection while no other waits in `accept` first starts one
+//! more, up to `--max-conns + 1` in all.
+//!
+//! At most `--max-conns` connections are served at once, so one thread is
+//! always left to answer an over-cap connection with an immediate
+//! `503 too many connections`. A connection must deliver its whole request
+//! within `--read-timeout-ms` of being accepted or it gets a `408`, so a
+//! stalled or trickling client holds its slot for at most one read
+//! timeout. A handler that panics loses its connection, not its thread or
+//! its slot.
 //!
 //! ```text
 //! dqma-server [--addr HOST:PORT] [--workers N] [--queue N] [--journal PATH]
@@ -19,10 +33,11 @@
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dqma::service::{http, route, Service, ServiceConfig};
 
@@ -65,8 +80,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.max_conns == 0 || args.cfg.workers == 0 || args.cfg.queue_capacity == 0 {
-        return Err("--max-conns, --workers, and --queue must be positive".to_string());
+    // A zero read timeout cannot be set on a socket: refuse it rather than
+    // serve with no slow-client protection at all.
+    if args.max_conns == 0
+        || args.cfg.workers == 0
+        || args.cfg.queue_capacity == 0
+        || args.read_timeout.is_zero()
+    {
+        return Err(
+            "--max-conns, --workers, --queue and --read-timeout-ms must be positive".to_string(),
+        );
     }
     Ok(args)
 }
@@ -98,56 +121,138 @@ fn main() -> ExitCode {
     }
 }
 
+/// What every handler thread shares.
+struct Shared {
+    listener: TcpListener,
+    svc: Service,
+    read_timeout: Duration,
+    limits: http::Limits,
+    max_conns: usize,
+    /// Connections being served, at most `max_conns`.
+    live: AtomicUsize,
+    /// Handler threads started, the main thread included: at most
+    /// `max_conns + 1`.
+    threads: AtomicUsize,
+    /// Handler threads waiting in `accept`.
+    idle: AtomicUsize,
+}
+
 fn serve(args: Args) -> std::io::Result<()> {
     let listener = TcpListener::bind(&args.addr)?;
     let local = listener.local_addr()?;
-    let svc = Arc::new(Service::start(args.cfg)?);
+    let svc = Service::start(args.cfg)?;
     println!("dqma-server listening {local}");
     std::io::stdout().flush().ok();
 
-    let live = Arc::new(AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        // An accept error (EMFILE, transient network trouble) must not
-        // kill the loop; back off briefly and keep accepting.
-        let stream = match stream {
-            Ok(s) => s,
+    let shared = Arc::new(Shared {
+        listener,
+        svc,
+        read_timeout: args.read_timeout,
+        limits: args.limits,
+        max_conns: args.max_conns,
+        live: AtomicUsize::new(0),
+        threads: AtomicUsize::new(1),
+        idle: AtomicUsize::new(0),
+    });
+    handle_connections(&shared);
+    Ok(())
+}
+
+/// A handler thread's life: take a connection, serve it, repeat.
+///
+/// `threads` and `idle` publish no other data, so their operations are
+/// `Relaxed`; a stale `idle` only starts a thread early or late, and the
+/// cap holds through the read-modify-write on `threads`.
+fn handle_connections(sh: &Arc<Shared>) {
+    loop {
+        sh.idle.fetch_add(1, Ordering::Relaxed);
+        let accepted = sh.listener.accept();
+        let others_idle = sh.idle.fetch_sub(1, Ordering::Relaxed) > 1;
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            // An accept error (EMFILE, transient network trouble) must not
+            // end the thread; back off briefly and keep accepting.
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
         };
-        if live.load(Ordering::Acquire) >= args.max_conns {
-            // Over the connection cap: refuse immediately instead of
-            // queueing unbounded handler threads.
-            respond(&stream, 503, "{\"error\":\"too many connections\"}");
-            continue;
+        let deadline = Instant::now().checked_add(sh.read_timeout);
+        if !others_idle {
+            start_handler(sh);
         }
-        live.fetch_add(1, Ordering::AcqRel);
-        let svc = Arc::clone(&svc);
-        let live = Arc::clone(&live);
-        let (timeout, limits) = (args.read_timeout, args.limits);
-        std::thread::spawn(move || {
-            handle(&stream, &svc, timeout, limits);
-            live.fetch_sub(1, Ordering::AcqRel);
-        });
+        match Slot::claim(&sh.live, sh.max_conns) {
+            // A panic loses this connection only: the thread goes on, and
+            // the slot's guard releases it while unwinding.
+            Some(_slot) => {
+                let _ = catch_unwind(AssertUnwindSafe(|| handle(&stream, sh, deadline)));
+            }
+            None => respond(&stream, 503, "{\"error\":\"too many connections\"}"),
+        }
     }
-    Ok(())
 }
 
-fn handle(stream: &TcpStream, svc: &Service, timeout: Duration, limits: http::Limits) {
-    stream.set_read_timeout(Some(timeout)).ok();
-    stream.set_write_timeout(Some(timeout)).ok();
+/// Starts one more handler thread, unless `max_conns + 1` are running.
+fn start_handler(sh: &Arc<Shared>) {
+    let claimed = sh
+        .threads
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n <= sh.max_conns).then_some(n + 1)
+        });
+    if claimed.is_err() {
+        return;
+    }
+    let shared = Arc::clone(sh);
+    // The thread serves for the life of the process and is never joined; a
+    // failed start just leaves the pool one thread smaller.
+    let started = std::thread::Builder::new()
+        .name("dqma-http".to_string())
+        .spawn(move || handle_connections(&shared));
+    if started.is_err() {
+        sh.threads.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One of the `max_conns` connection slots, released when dropped.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl<'a> Slot<'a> {
+    /// Claims a slot with one compare-and-swap on `live`, or `None` when all
+    /// `max` are taken.
+    fn claim(live: &'a AtomicUsize, max: usize) -> Option<Slot<'a>> {
+        live.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+            (n < max).then_some(n + 1)
+        })
+        .ok()
+        .map(|_| Slot(live))
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+fn handle(stream: &TcpStream, sh: &Shared, deadline: Option<Instant>) {
+    // A socket whose timeouts cannot be set could hold its slot forever:
+    // drop it instead.
+    if stream.set_read_timeout(Some(sh.read_timeout)).is_err()
+        || stream.set_write_timeout(Some(sh.read_timeout)).is_err()
+    {
+        return;
+    }
     stream.set_nodelay(true).ok();
-    let mut reader = stream;
-    match http::read_request(&mut reader, limits) {
+    let mut src = stream;
+    match http::read_request(&mut src, sh.limits, deadline) {
         Ok(req) => {
-            let (status, body) = route(svc, &req.method, &req.path, &req.body);
+            let (status, body) = route(&sh.svc, &req.method, &req.path, &req.body);
             respond(stream, status, &body);
         }
         Err(e) => {
             // A hostile or broken connection gets a structured response
             // when one can still be sent, and a clean close otherwise —
-            // the accept loop is unaffected either way.
+            // the handler thread is unaffected either way.
             if let Some(status) = e.status() {
                 let body = format!(
                     "{{\"error\":\"{}\"}}",

@@ -12,7 +12,7 @@
 //! Environments without a bindable loopback interface skip gracefully:
 //! a failed server launch is a skip, mirroring `integration_tcp_cluster`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -197,7 +197,7 @@ fn served_reports_are_bit_identical_to_the_in_process_engine() {
 }
 
 /// Malformed and oversized requests get structured 4xx responses and the
-/// server keeps serving afterwards — no panic, no wedged accept loop.
+/// server keeps serving afterwards — no panic, no wedged handler.
 #[test]
 fn malformed_and_oversized_requests_are_rejected_and_service_survives() {
     let Some(server) = Server::launch(&["--max-body", "4096"]) else {
@@ -251,8 +251,9 @@ fn malformed_and_oversized_requests_are_rejected_and_service_survives() {
 }
 
 /// Slow clients and mid-request disconnects: a half-sent request that
-/// stalls is timed out (408) and a connection dropped mid-request is
-/// absorbed; the accept loop and in-flight service state survive both.
+/// stalls or trickles is timed out (408) and a connection dropped
+/// mid-request is absorbed; the handlers and in-flight service state
+/// survive all three.
 #[test]
 fn slow_clients_and_mid_request_disconnects_do_not_wedge_the_server() {
     let Some(server) = Server::launch(&["--read-timeout-ms", "200"]) else {
@@ -278,6 +279,37 @@ fn slow_clients_and_mid_request_disconnects_do_not_wedge_the_server() {
             "stalled request must be timed out, got {text:?}"
         );
     }
+    // Trickling client: one byte per half timeout never lets a single read
+    // time out, but the request's deadline does. The server must answer
+    // with a 408 or close within three timeouts of the connect.
+    if let Ok(mut s) = TcpStream::connect(&server.addr) {
+        let start = Instant::now();
+        s.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let head = b"GET /v1/healthz HTTP/1.1\r\nX-Slow: ";
+        let mut reply = [0u8; 256];
+        let mut sent = 0;
+        let (ended, got) = loop {
+            if start.elapsed() > Duration::from_millis(600) {
+                break (None, 0);
+            }
+            let byte = head.get(sent).copied().unwrap_or(b'a');
+            sent += 1;
+            match s.write_all(&[byte]).and_then(|()| s.read(&mut reply)) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                r => break (Some(start.elapsed()), r.unwrap_or(0)),
+            }
+        };
+        let text = String::from_utf8_lossy(&reply[..got]);
+        assert!(
+            ended.is_some_and(|t| t <= Duration::from_millis(600)),
+            "a trickling request must be cut off within 600 ms, got {ended:?} {text:?}"
+        );
+        assert!(
+            text.is_empty() || text.starts_with("HTTP/1.1 408"),
+            "a trickling request must get a 408 or a close, got {text:?}"
+        );
+    }
     // A body shorter than its declared Content-Length, then disconnect.
     if let Ok(mut s) = TcpStream::connect(&server.addr) {
         let _ = s.write_all(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 5000\r\n\r\n{\"in");
@@ -290,6 +322,145 @@ fn slow_clients_and_mid_request_disconnects_do_not_wedge_the_server() {
         status.get("state").and_then(json::Parsed::as_str),
         Some("done")
     );
+}
+
+/// A zero read timeout cannot be set on a socket, so it would leave every
+/// connection without slow-client protection: the server refuses it at
+/// start-up, with the usage exit code and before it listens.
+#[test]
+fn zero_read_timeout_is_refused_at_start_up() {
+    let mut child = match Command::new(env!("CARGO_BIN_EXE_dqma-server"))
+        .args(["--addr", "127.0.0.1:0", "--read-timeout-ms", "0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+    {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("skipping service test (cannot spawn server): {e}");
+            return;
+        }
+    };
+    let deadline = Instant::now() + TIMEOUT;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("dqma-server --read-timeout-ms 0 did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut out = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut out)
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "usage errors exit with code 2");
+    assert!(
+        !out.contains("listening"),
+        "refused before listening: {out:?}"
+    );
+}
+
+/// The connection cap: with `--max-conns 2`, two stalled connections hold
+/// both slots and a third gets an immediate 503; closing them frees the
+/// slots; and a burst of stalled connections never grows the server past
+/// `workers + max_conns + 1` threads.
+#[test]
+fn connection_cap_sheds_at_once_and_bounds_the_threads() {
+    // The read timeout is far longer than the test, so only a close can
+    // free a slot.
+    let Some(server) = Server::launch(&[
+        "--max-conns",
+        "2",
+        "--workers",
+        "1",
+        "--read-timeout-ms",
+        "30000",
+    ]) else {
+        return;
+    };
+    let stall = || {
+        let mut s = TcpStream::connect(&server.addr).expect("connect");
+        s.write_all(b"GET /v1/healthz HTTP/1.1\r\nHo").unwrap();
+        s
+    };
+
+    let held = [stall(), stall()];
+    // Let the server take both before the third arrives: it claims a
+    // connection's slot right after accepting it.
+    std::thread::sleep(Duration::from_millis(100));
+    let start = Instant::now();
+    let mut third = TcpStream::connect(&server.addr).expect("connect");
+    third.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut text = String::new();
+    let _ = third.read_to_string(&mut text);
+    let took = start.elapsed();
+    assert!(
+        text.starts_with("HTTP/1.1 503") && text.contains("too many connections"),
+        "a third connection must be refused, got {text:?}"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "refused at once, took {took:?}"
+    );
+    for mut s in &held {
+        s.set_nonblocking(true).unwrap();
+        let err = s
+            .read(&mut [0u8; 16])
+            .expect_err("held connections get no reply");
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+    }
+
+    // Closing the held connections frees both slots, long before their
+    // read timeout would.
+    drop(held);
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        match client::call(&server.addr, "GET", "/v1/healthz", None, TIMEOUT) {
+            Ok((200, _)) => break,
+            other => assert!(
+                Instant::now() < deadline,
+                "healthz after the close: {other:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // A burst of stalled connections: two hold slots, the rest are
+    // refused, and the thread count stays inside the bound. They send
+    // nothing, so no refusal races a reset caused by unread bytes.
+    let burst: Vec<TcpStream> = (0..20)
+        .map(|_| TcpStream::connect(&server.addr).expect("connect"))
+        .collect();
+    let mut refused = 0;
+    for mut s in &burst {
+        s.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        if matches!(s.read(&mut buf), Ok(n) if buf[..n].starts_with(b"HTTP/1.1 503")) {
+            refused += 1;
+        }
+    }
+    assert_eq!(refused, 18, "all but two of the burst are refused");
+    let status = format!("/proc/{}/status", server.child.id());
+    if let Ok(text) = std::fs::read_to_string(&status) {
+        let threads: usize = text
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("Threads line");
+        assert!(
+            threads <= 1 + 2 + 1,
+            "{threads} threads > workers + max_conns + 1"
+        );
+    }
 }
 
 /// Overload: with a tiny queue and a slow job pinning the worker, a flood
