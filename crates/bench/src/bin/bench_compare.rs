@@ -12,10 +12,10 @@
 //! Rows named with `--gate` are **enforced**: the run exits non-zero if any
 //! gated speedup column regresses by more than `threshold` (default 30%),
 //! or if a gated row or its speedup columns are missing from either file.
-//! Speedup columns are same-machine ratios, so they are the
-//! noise-insensitive quantity to track across PRs. Absolute ns/op are not:
-//! they move with the host and with its load from run to run, so this tool
-//! ignores them.
+//! Speedup columns are same-run ratios: they cancel the host's speed but
+//! not its load, and on a shared host their run-to-run spread can exceed
+//! the threshold (see ROADMAP.md item 1). Absolute ns/op move with both,
+//! so this tool ignores them.
 
 use dqma_bench::json::{self, Parsed};
 use std::process::ExitCode;

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod bitstring;
 pub mod fingerprint;

@@ -1137,10 +1137,12 @@ impl Drop for Service {
 }
 
 /// Replays an append-only journal into fresh state. Tolerant of a torn
-/// final line (the crash case) and of unknown/corrupt lines: recovery
-/// prefers resampling over refusing to start. A `blk` line is replayed only
-/// when the nearest `hdr` line before it names the current
-/// [`BLOCK_CONTRACT`]; otherwise it is counted as refused.
+/// final line (the crash case) and of unknown/corrupt lines, a line that is
+/// not UTF-8 included: recovery prefers resampling over refusing to start,
+/// and one bad line must not hide the records after it. An I/O error ends
+/// replay. A `blk` line is replayed only when the nearest `hdr` line before
+/// it names the current [`BLOCK_CONTRACT`]; otherwise it is counted as
+/// refused.
 fn recover(
     st: &mut State,
     stats: &Stats,
@@ -1150,12 +1152,13 @@ fn recover(
     let reader = BufReader::new(File::open(path)?);
     let mut trusted = false;
     let mut replayed = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    for bytes in reader.split(b'\n') {
+        let Ok(bytes) = bytes else { break };
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            continue;
         };
-        let mut tok = Tokens::new(&line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        let mut tok = Tokens::new(line);
         match tok.next_str() {
             Some("hdr") => trusted = tok.u64() == Ok(BLOCK_CONTRACT),
             Some("job") => {
@@ -2049,6 +2052,31 @@ mod tests {
         let st = svc.stats();
         assert_eq!(st.submitted, (RETAINED_JOBS + extra + 1) as u64);
         assert_eq!(st.completed, st.submitted);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_skips_a_line_that_is_not_utf8() {
+        let (dir, path) = journal_path("utf8");
+        let spec = small_job(1, 3).encode();
+        // A `fail` line torn inside a multi-byte character, then a later
+        // admission: the later record must still replay.
+        let mut journal = format!("hdr {BLOCK_CONTRACT}\njob 0 {spec}\n").into_bytes();
+        journal.extend_from_slice(b"fail 7 worker panicked: caf\xC3\n");
+        journal.extend_from_slice(format!("job 1 {spec}\n").as_bytes());
+        std::fs::write(&path, journal).unwrap();
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            journal: Some(path),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        assert_eq!(svc.stats().resumed, 2);
+        let status = svc.wait(1, Duration::from_secs(60)).unwrap();
+        assert!(matches!(status, JobStatus::Done(_)), "got {status:?}");
+        let next = svc.submit(small_job(1, 4)).unwrap();
+        assert_eq!(next, 2, "ids continue after the last replayed job");
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -54,9 +54,10 @@
 //! # Scratch reuse
 //!
 //! A [`BatchSampler`] declares a `Scratch` type built once per worker slot
-//! and reused across every block (and every trial) that worker processes —
-//! per-worker arenas via [`qsim::pool::SlotScratch`]. The pure-state plans
-//! need none (their tables make a round a handful of lookups); the
+//! and reused across every block (and every trial) that worker processes:
+//! one `Mutex` per pool slot, locked once per block and never contended,
+//! since the pool drives a slot from one thread at a time. The pure-state
+//! plans need none (their tables make a round a handful of lookups); the
 //! mixed-proof chain sampler reuses its density-matrix frontier buffers
 //! across all trials instead of reallocating three matrices per node per
 //! round.
@@ -471,13 +472,12 @@ where
     let nblocks = n.div_ceil(BLOCK_TRIALS);
     let workers = workers.max(1).min((nblocks as usize).max(1));
     let total = Mutex::new(T::default());
-    let slots = qsim::pool::SlotScratch::new(workers, scratch);
+    let slots: Vec<Mutex<Scr>> = (0..workers).map(|_| Mutex::new(scratch())).collect();
     qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
         let b = chunk as u64;
-        // SAFETY: `slot` is the pool-provided slot id of this job, and the
-        // pool drives each slot from at most one thread at a time.
-        let s = unsafe { slots.get(slot) };
-        let r = sample(block_len(n, nblocks, b), s, &BlockRng::new(seed, b));
+        // Uncontended: the pool drives each slot from one thread at a time.
+        let mut s = slots[slot].lock().unwrap_or_else(PoisonError::into_inner);
+        let r = sample(block_len(n, nblocks, b), &mut s, &BlockRng::new(seed, b));
         merge(&mut total.lock().unwrap_or_else(PoisonError::into_inner), r);
     });
     let total = total.into_inner().unwrap_or_else(PoisonError::into_inner);

@@ -63,7 +63,7 @@
 //! deterministic jitter; exhausted budgets surface as a [`FaultCause`] so a
 //! round resolves to [`RoundOutcome::Aborted`] instead of hanging.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::transcript::ProtocolCosts;
@@ -361,8 +361,9 @@ impl Mailbox {
 }
 
 /// In-memory channel transport: one mailbox per node, with **no
-/// synchronisation** — mailboxes live in [`UnsafeCell`]s, so the type is
-/// deliberately `!Sync` and backs the sequential round driver only.
+/// synchronisation** — mailboxes live in [`RefCell`]s, each borrowed for
+/// one `send` or `recv`, so the type is `!Sync` and backs the sequential
+/// round driver only.
 ///
 /// `recv` polls: it returns [`RecvOutcome::TimedOut`] immediately when
 /// nothing eligible is queued. That is correct for the sequential driver,
@@ -370,7 +371,7 @@ impl Mailbox {
 /// enqueued when its receiver runs. Latency and every other fault come from
 /// wrapping it in a [`FaultyTransport`].
 pub struct LocalChannelTransport {
-    boxes: Vec<UnsafeCell<Mailbox>>,
+    boxes: Vec<RefCell<Mailbox>>,
     epoch: Cell<u64>,
 }
 
@@ -378,9 +379,7 @@ impl LocalChannelTransport {
     /// Non-blocking transport over `nodes` mailboxes.
     pub fn poll(nodes: usize) -> Self {
         LocalChannelTransport {
-            boxes: (0..nodes)
-                .map(|_| UnsafeCell::new(Mailbox::fresh()))
-                .collect(),
+            boxes: (0..nodes).map(|_| RefCell::new(Mailbox::fresh())).collect(),
             epoch: Cell::new(0),
         }
     }
@@ -389,26 +388,12 @@ impl LocalChannelTransport {
     pub fn num_nodes(&self) -> usize {
         self.boxes.len()
     }
-
-    /// Exclusive access to one mailbox.
-    ///
-    /// SAFETY invariant: the `&mut` never escapes a single `send`/`recv`
-    /// call, those calls never nest (no callbacks, no reentrancy), and
-    /// `UnsafeCell` keeps the type `!Sync` — so at most one mutable
-    /// reference to any mailbox exists at a time. This is exactly the
-    /// discipline `RefCell` checks dynamically, minus the flag traffic on
-    /// the per-message hot path.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    fn mailbox(&self, node: NodeId) -> &mut Mailbox {
-        unsafe { &mut *self.boxes[node].get() }
-    }
 }
 
 impl Transport for LocalChannelTransport {
     #[inline]
     fn send(&self, now: VTime, env: &Envelope, _ack_deadline: VTime) -> SendOutcome {
-        let mbox = self.mailbox(env.dst);
+        let mut mbox = self.boxes[env.dst].borrow_mut();
         mbox.sync(self.epoch.get());
         mbox.push(now, *env);
         SendOutcome::Acked(now)
@@ -416,7 +401,7 @@ impl Transport for LocalChannelTransport {
 
     #[inline]
     fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
-        let mbox = self.mailbox(node);
+        let mut mbox = self.boxes[node].borrow_mut();
         mbox.sync(self.epoch.get());
         mbox.take(node, deadline)
     }

@@ -40,8 +40,8 @@
 //! nothing (scratch is caller-owned [`crate::plan::PlanScratch`]), and only
 //! walk. One-shot callers compile a fresh plan and run the executor
 //! ([`conjugate_matrix`] is the one such shim kept here); batch loops compile
-//! the plan once — or fetch it from the lock-free-read [`crate::plan`] cache
-//! — and call the executors directly.
+//! the plan once — or fetch it from the [`crate::plan`] cache — and call
+//! the executors directly.
 
 use crate::complex::Complex;
 use crate::linalg::split::{Split, SplitMut};

@@ -96,9 +96,9 @@
 //!   **embedded in protocol round plans** (the batched samplers in `dqma` do
 //!   this, so their steady-state rounds perform zero compilations —
 //!   [`plan::compile_count`] lets benchmarks assert it), or fetched from the
-//!   **lock-free-read plan cache** ([`plan::cached_symmetric`],
-//!   [`plan::cached_layout`]) used by the per-call measurement entry points
-//!   in [`swap_test`] and [`permutation`]. One-shot entry points compile a
+//!   **plan cache** ([`plan::cached_symmetric`], one mutex-guarded entry
+//!   list) used by the per-call measurement entry points in [`swap_test`]
+//!   and [`permutation`]. One-shot entry points compile a
 //!   fresh plan per call and run its executor, and the `S_k` orbit/permutation
 //!   metadata previously derived independently by `swap_test`, `permutation`
 //!   and the kernels is memoised once in [`plan`]
@@ -125,9 +125,10 @@
 //!   `speedup_simd_vs_scalar` bench columns.
 //! * **Persistent worker pool** — [`pool`] keeps long-lived parked worker
 //!   threads (std only; rayon is deliberately not a dependency: this
-//!   workspace builds offline) with chunked index-range dispatch, slot-scoped
-//!   reusable scratch arenas ([`pool::SlotScratch`]) and a memoised
-//!   `QSIM_PARALLEL_THREADS`-or-host worker-count policy
+//!   workspace builds offline) with chunked index-range dispatch, slot ids
+//!   that one thread drives at a time (so per-slot scratch is never
+//!   contended) and a memoised `QSIM_PARALLEL_THREADS`-or-host worker-count
+//!   policy
 //!   ([`pool::worker_count`]). The batched Monte-Carlo trial engines of the
 //!   `dqma` crate drive it for millions-of-rounds sweeps, one block of trials
 //!   per chunk; the kernels themselves stay single-threaded. The pool is
@@ -156,6 +157,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// `unsafe` lives only in `simd` (the AVX2 intrinsics) and `pool` (the
+// lifetime-erased job pointer); both modules opt back in.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod complex;
 pub mod density;

@@ -19,15 +19,13 @@
 //!   plan — the batched samplers in the `dqma` crate do this, bypassing the
 //!   cache entirely so their steady-state rounds perform **zero** plan
 //!   compilations (asserted by `bench_protocols` via [`compile_count`]).
-//! * **Fetch it from the plan cache** ([`cached_layout`],
-//!   [`cached_symmetric`]): a process-wide memo keyed by
-//!   `(dims, targets, kind)` with **lock-free reads** — readers follow an
-//!   atomic pointer to an immutable snapshot and scan it without taking any
-//!   lock; writers (cache misses only) serialise on a mutex and publish a
-//!   new snapshot. Superseded snapshots are intentionally leaked: the leak
-//!   is bounded by the number of *distinct* register shapes ever cached (a
-//!   handful per process), and reclaiming them safely would require exactly
-//!   the reader synchronisation the cache exists to avoid.
+//! * **Fetch it from the plan cache** ([`cached_symmetric`]): a
+//!   process-wide memo of `S_k` class plans keyed by `(dims, targets)`. One
+//!   mutex guards the entry list, which a lookup scans under the lock (one
+//!   entry per distinct register shape, a handful per process); a miss
+//!   compiles the plan under the same lock, so concurrent first lookups of
+//!   one shape compile it once. Its readers are the per-call measurement
+//!   entry points of [`crate::permutation`] and [`crate::swap_test`].
 //! * **One-shot entry points** (`PureState::apply_unitary`,
 //!   `DensityMatrix::apply_unitary`, the permutation-test traces) compile a
 //!   fresh plan per call and run the executor, so they pay roughly the old
@@ -44,43 +42,27 @@ use crate::kernels::{self, BlockClasses, OpData, TargetLayout};
 use crate::linalg::CMatrix;
 use crate::state::{flat_index, total_dim, unflatten_index};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Total number of [`KernelPlan`] compilations performed by this process —
 /// across explicit constructors, cache misses and shim calls alike.
 ///
 /// Always maintained (one relaxed atomic add per *compilation*, never per
 /// executed kernel), so benchmarks can assert that a steady-state batch loop
-/// performs zero compilations; the per-lookup cache hit/miss counters are
-/// only kept under `debug_assertions` (see [`cache_counters`]).
+/// performs zero compilations.
 static COMPILES: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(debug_assertions)]
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-#[cfg(debug_assertions)]
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of kernel plans compiled so far by this process.
 pub fn compile_count() -> u64 {
     COMPILES.load(Ordering::Relaxed)
 }
 
-/// Plan-cache `(hits, misses)` counters. Maintained only in builds with
-/// `debug_assertions` (the release hot path pays nothing per lookup);
-/// returns `None` otherwise.
-pub fn cache_counters() -> Option<(u64, u64)> {
-    #[cfg(debug_assertions)]
-    {
-        Some((
-            CACHE_HITS.load(Ordering::Relaxed),
-            CACHE_MISSES.load(Ordering::Relaxed),
-        ))
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        None
-    }
+/// Plan-cache `(hits, misses)` counters of this process: one of them moves
+/// on every [`cached_symmetric`] call.
+pub fn cache_counters() -> (u64, u64) {
+    let cache = lock_cache();
+    (cache.hits, cache.misses)
 }
 
 fn note_compile() {
@@ -512,112 +494,59 @@ impl PlanScratch {
 }
 
 // ---------------------------------------------------------------------------
-// The plan cache: lock-free reads over leaked immutable snapshots.
+// The plan cache: one lock, scanned under it.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CachedKind {
-    Layout,
-    Symmetric,
-}
-
 struct CacheEntry {
-    kind: CachedKind,
     dims: Box<[usize]>,
     targets: Box<[usize]>,
     plan: Arc<KernelPlan>,
 }
 
-/// Current cache snapshot: an immutable, intentionally leaked vector scanned
-/// by readers with no lock (entry counts are tiny — one per distinct
-/// register shape). Null until the first insert.
-static SNAPSHOT: AtomicPtr<Vec<CacheEntry>> = AtomicPtr::new(std::ptr::null_mut());
-/// Serialises writers (cache misses); readers never touch it.
-static WRITER: Mutex<()> = Mutex::new(());
-
-fn cache_lookup(kind: CachedKind, dims: &[usize], targets: &[usize]) -> Option<Arc<KernelPlan>> {
-    let snap = SNAPSHOT.load(Ordering::Acquire);
-    let found = if snap.is_null() {
-        None
-    } else {
-        // Safety: snapshots are immutable once published and never freed.
-        unsafe { &*snap }
-            .iter()
-            .find(|e| e.kind == kind && *e.dims == *dims && *e.targets == *targets)
-            .map(|e| e.plan.clone())
-    };
-    #[cfg(debug_assertions)]
-    {
-        if found.is_some() {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        } else {
-            CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    found
+struct PlanCache {
+    entries: Vec<CacheEntry>,
+    hits: u64,
+    misses: u64,
 }
 
-fn cache_get_or_insert(
-    kind: CachedKind,
-    dims: &[usize],
-    targets: &[usize],
-    build: impl FnOnce() -> KernelPlan,
-) -> Arc<KernelPlan> {
-    if let Some(hit) = cache_lookup(kind, dims, targets) {
-        return hit;
-    }
-    let _guard = WRITER.lock().expect("plan-cache writer lock poisoned");
-    // Re-check under the writer lock: another thread may have inserted.
-    if let Some(hit) = cache_lookup(kind, dims, targets) {
-        return hit;
-    }
-    let plan = Arc::new(build());
-    let old = SNAPSHOT.load(Ordering::Acquire);
-    let mut next: Vec<CacheEntry> = if old.is_null() {
-        Vec::new()
-    } else {
-        // Safety: published snapshots are immutable; cloning Arcs only.
-        unsafe { &*old }
-            .iter()
-            .map(|e| CacheEntry {
-                kind: e.kind,
-                dims: e.dims.clone(),
-                targets: e.targets.clone(),
-                plan: e.plan.clone(),
-            })
-            .collect()
-    };
-    next.push(CacheEntry {
-        kind,
-        dims: dims.into(),
-        targets: targets.into(),
-        plan: plan.clone(),
-    });
-    // Publish; the superseded snapshot is intentionally leaked (see module
-    // docs — bounded by the number of distinct shapes ever cached).
-    SNAPSHOT.store(Box::into_raw(Box::new(next)), Ordering::Release);
-    plan
-}
+static CACHE: Mutex<PlanCache> = Mutex::new(PlanCache {
+    entries: Vec::new(),
+    hits: 0,
+    misses: 0,
+});
 
-/// The memoised layout-only plan of `(dims, targets)` — lock-free read,
-/// compiled on first use.
-pub fn cached_layout(dims: &[usize], targets: &[usize]) -> Arc<KernelPlan> {
-    cache_get_or_insert(CachedKind::Layout, dims, targets, || {
-        KernelPlan::for_layout(dims, targets)
-    })
+/// Locks the plan cache, recovering from poisoning: an entry is pushed only
+/// after its plan compiled, so a compile that panicked left no torn entry.
+fn lock_cache() -> MutexGuard<'static, PlanCache> {
+    CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The memoised `S_k` digit-orbit class plan of `(dims, targets)` — the
 /// plan behind every SWAP/permutation-test acceptance and effect on these
-/// registers. Lock-free read, compiled on first use.
+/// registers. Compiled on first use, under the cache lock.
 ///
 /// # Panics
 ///
 /// As [`KernelPlan::for_symmetric`].
 pub fn cached_symmetric(dims: &[usize], targets: &[usize]) -> Arc<KernelPlan> {
-    cache_get_or_insert(CachedKind::Symmetric, dims, targets, || {
-        KernelPlan::for_symmetric(dims, targets)
-    })
+    let mut cache = lock_cache();
+    let found = cache
+        .entries
+        .iter()
+        .find(|e| *e.dims == *dims && *e.targets == *targets)
+        .map(|e| e.plan.clone());
+    if let Some(plan) = found {
+        cache.hits += 1;
+        return plan;
+    }
+    cache.misses += 1;
+    let plan = Arc::new(KernelPlan::for_symmetric(dims, targets));
+    cache.entries.push(CacheEntry {
+        dims: dims.into(),
+        targets: targets.into(),
+        plan: plan.clone(),
+    });
+    plan
 }
 
 // ---------------------------------------------------------------------------
@@ -708,15 +637,15 @@ mod tests {
 
     #[test]
     fn cached_plans_are_shared_and_keyed_exactly() {
-        let a = cached_layout(&[2, 3, 2], &[0, 2]);
-        let b = cached_layout(&[2, 3, 2], &[0, 2]);
+        let a = cached_symmetric(&[2, 3, 2], &[0, 2]);
+        let b = cached_symmetric(&[2, 3, 2], &[0, 2]);
         assert!(Arc::ptr_eq(&a, &b), "same key must return the same plan");
         // Different target order is a different plan (offset order differs).
-        let c = cached_layout(&[2, 3, 2], &[2, 0]);
+        let c = cached_symmetric(&[2, 3, 2], &[2, 0]);
         assert!(!Arc::ptr_eq(&a, &c), "distinct keys must not alias");
         // Same flattened content, different split: must not alias either.
-        let d = cached_layout(&[2, 3], &[0]);
-        let e = cached_layout(&[2], &[0]);
+        let d = cached_symmetric(&[2, 3], &[0]);
+        let e = cached_symmetric(&[2], &[0]);
         assert!(!Arc::ptr_eq(&d, &e));
         assert_eq!(a.block(), 4);
         assert_eq!(d.total_dim(), 6);
@@ -736,9 +665,9 @@ mod tests {
         let _plan = KernelPlan::for_layout(&[2, 2], &[0]);
         assert!(compile_count() > before);
         // A cache hit performs no compilation.
-        let _ = cached_layout(&[5, 5], &[1]);
+        let _ = cached_symmetric(&[5, 5], &[1]);
         let mid = compile_count();
-        let _ = cached_layout(&[5, 5], &[1]);
+        let _ = cached_symmetric(&[5, 5], &[1]);
         assert_eq!(compile_count(), mid, "cache hits must not compile");
     }
 

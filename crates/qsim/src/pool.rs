@@ -16,10 +16,10 @@
 //!
 //! * **Slots, not threads.** A job sees a *slot id* `0..workers`; slot 0 is
 //!   always the submitting thread, slots `1..` are pool threads. At most one
-//!   thread drives a given slot during a dispatch, which makes slot-indexed
-//!   scratch ([`SlotScratch`]) race-free: per-worker arenas live across an
-//!   entire dispatch (and across dispatches, if the caller keeps them), so
-//!   per-trial allocations can be hoisted out of hot loops.
+//!   thread drives a given slot during a dispatch, so a caller's per-slot
+//!   scratch behind one `Mutex` per slot is never contended: per-worker
+//!   arenas live across an entire dispatch, and per-trial allocations can be
+//!   hoisted out of hot loops (`dqma::trials` does this).
 //! * **Reentrancy and contention degrade to inline.** A dispatch from inside
 //!   a job (a nested pooled call from a pooled trial engine), or a
 //!   concurrent dispatch from another thread, simply runs the job inline on
@@ -43,7 +43,10 @@
 //! chunk from `(seed, chunk index)` and combines chunk results with a
 //! commutative reduction.
 
-use std::cell::UnsafeCell;
+// The lifetime-erased job pointer is the one design here that needs
+// `unsafe`; every site carries its `SAFETY:` argument.
+#![allow(unsafe_code)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -86,6 +89,9 @@ type Job = dyn Fn(usize, usize) + Sync;
 /// it (the `active` checkout protocol below).
 #[derive(Clone, Copy)]
 struct JobPtr(*const Job);
+// SAFETY: `JobPtr` has one field, a pointer to a `Sync` job, so handing it
+// to a worker thread only shares a `&Job`; when it may be dereferenced is
+// the checkout protocol's business (see `dispatch`).
 unsafe impl Send for JobPtr {}
 
 struct State {
@@ -220,7 +226,11 @@ impl WorkerPool {
             handles.push(handle);
         }
         let engaged = want - 1;
-        // Lifetime erasure: see `JobPtr`.
+        // SAFETY: only the lifetime is erased. Workers dereference the
+        // pointer only between taking the job and checking out, and this
+        // call retires the job (`st.job = None`) and returns, ending the
+        // borrow, only after every engaged worker has checked out, waiting
+        // for them even when its own share of the job panics.
         let ptr = JobPtr(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize, usize) + Sync + '_), *const Job>(
                 job as *const _,
@@ -328,6 +338,9 @@ fn worker_loop(shared: &Shared, slot: usize) {
             if chunk >= nchunks {
                 break;
             }
+            // SAFETY: this worker is engaged and has not checked out
+            // (`active` still counts it), so the dispatcher that published
+            // the job is still waiting and the job is alive.
             unsafe { (*job.0)(slot, chunk) };
         }));
         let mut st = lock_state(shared);
@@ -340,57 +353,6 @@ fn worker_loop(shared: &Shared, slot: usize) {
         if st.active == 0 {
             shared.done.notify_all();
         }
-    }
-}
-
-/// Slot-indexed scratch arenas for pool jobs: one `T` per worker slot,
-/// accessed mutably by the slot that owns it during a dispatch.
-///
-/// This is how per-worker state (RNG scratch, reusable state vectors and
-/// density-matrix buffers) survives across the many chunks a worker
-/// processes, instead of being reallocated per chunk or per trial.
-pub struct SlotScratch<T> {
-    slots: Vec<UnsafeCell<T>>,
-}
-
-// Safety: distinct slots are distinct cells, and the pool guarantees at most
-// one thread drives a slot at a time; `get` is the unsafe escape hatch that
-// encodes the latter obligation.
-unsafe impl<T: Send> Sync for SlotScratch<T> {}
-
-impl<T> SlotScratch<T> {
-    /// Builds one scratch value per slot.
-    pub fn new(slots: usize, mut init: impl FnMut() -> T) -> Self {
-        SlotScratch {
-            slots: (0..slots).map(|_| UnsafeCell::new(init())).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Mutable access to slot `slot`'s scratch.
-    ///
-    /// # Safety
-    ///
-    /// `slot` must be the slot id passed to the currently executing job by
-    /// the pool (or the arena must otherwise not be aliased), so that no two
-    /// threads hold the same slot concurrently.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get(&self, slot: usize) -> &mut T {
-        &mut *self.slots[slot].get()
-    }
-
-    /// Consumes the arena, yielding every slot's scratch.
-    pub fn into_inner(self) -> Vec<T> {
-        self.slots.into_iter().map(|c| c.into_inner()).collect()
     }
 }
 
@@ -537,17 +499,30 @@ mod tests {
         drop(pool);
     }
 
+    /// The guarantee per-slot scratch relies on: a slot's mutex is never
+    /// held by another thread when a chunk of that slot starts. Each chunk
+    /// holds its slot for a few microseconds, so two threads driving one
+    /// slot would collide.
     #[test]
-    fn slot_scratch_accumulates_per_worker() {
+    fn a_slot_is_driven_by_one_thread_at_a_time() {
         let pool = WorkerPool::new();
         let workers = 4;
-        let scratch = SlotScratch::new(workers, || 0u64);
-        pool.dispatch(workers, 1000, &|slot, chunk| {
-            // Safety: `slot` is the pool-provided slot id.
-            let s = unsafe { scratch.get(slot) };
-            *s += chunk as u64;
+        let slots: Vec<Mutex<u64>> = (0..workers).map(|_| Mutex::new(0)).collect();
+        let contended = AtomicU64::new(0);
+        pool.dispatch(workers, 1000, &|slot, chunk| match slots[slot].try_lock() {
+            Ok(mut sum) => {
+                let held = std::time::Instant::now();
+                while held.elapsed() < std::time::Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+                *sum += chunk as u64;
+            }
+            Err(_) => {
+                contended.fetch_add(1, Ordering::Relaxed);
+            }
         });
-        let total: u64 = scratch.into_inner().into_iter().sum();
+        assert_eq!(contended.load(Ordering::Relaxed), 0, "a slot was shared");
+        let total: u64 = slots.into_iter().map(|m| m.into_inner().unwrap()).sum();
         assert_eq!(total, 999 * 1000 / 2);
     }
 

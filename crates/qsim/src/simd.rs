@@ -38,6 +38,10 @@
 //! this reason); it clamps to [`available`], so calling `set_enabled(true)`
 //! in a scalar-only build is a no-op that leaves the oracle in place.
 
+// The AVX2 intrinsics are `unsafe` to call; every call site carries its
+// `SAFETY:` argument.
+#![allow(unsafe_code)]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Tri-state: 2 = uninitialised, 1 = enabled, 0 = disabled.

@@ -13,7 +13,7 @@
 
 use qsim::linalg::CVector;
 use qsim::permutation::{permutation_operator, symmetric_projector};
-use qsim::plan::{cached_layout, cached_symmetric, KernelPlan, PlanScratch};
+use qsim::plan::{cached_symmetric, KernelPlan, PlanScratch};
 use qsim::{
     embed_operator, naive, CMatrix, Complex, DensityMatrix, PureState, RandomStateGenerator,
 };
@@ -266,19 +266,19 @@ fn cache_keying_distinct_dims_or_targets_never_alias() {
     assert!(!Arc::ptr_eq(&a, &c), "distinct targets must not alias");
 
     // Same targets, different dims: distinct plans.
-    let e = cached_layout(&[2, 2, 2], &[0, 1]);
-    let f = cached_layout(&[2, 2, 4], &[0, 1]);
+    let e = cached_symmetric(&[2, 2, 2], &[0, 1]);
+    let f = cached_symmetric(&[2, 2, 4], &[0, 1]);
     assert!(!Arc::ptr_eq(&e, &f), "distinct dims must not alias");
 
     // Target *order* is part of the key (offset order differs).
-    let g = cached_layout(&[2, 3, 2], &[0, 2]);
-    let h = cached_layout(&[2, 3, 2], &[2, 0]);
+    let g = cached_symmetric(&[2, 3, 2], &[0, 2]);
+    let h = cached_symmetric(&[2, 3, 2], &[2, 0]);
     assert!(!Arc::ptr_eq(&g, &h), "target order must not alias");
 
     // Concatenation ambiguity: [2,2]+[0] vs [2]+[0] vs [2,2,2]+[0] all
     // distinct keys.
-    let i = cached_layout(&[2, 2], &[0]);
-    let j = cached_layout(&[2], &[0]);
+    let i = cached_symmetric(&[2, 2], &[0]);
+    let j = cached_symmetric(&[2], &[0]);
     assert!(!Arc::ptr_eq(&i, &j));
 
     // Behavioural spot check: the aliased-looking plans act on their own

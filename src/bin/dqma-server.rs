@@ -22,6 +22,13 @@
 //! timeout. A handler that panics loses its connection, not its thread or
 //! its slot.
 //!
+//! An error response (the over-cap `503`, and the `400`, `408`, `413` and
+//! `431` of a request that could not be read) can leave request bytes
+//! unread. Closing over them would make the kernel send a reset, which can
+//! destroy the response before the client reads it, so such a connection
+//! is closed lingering: the write half is shut, and input is discarded
+//! until the client closes or a bound passes.
+//!
 //! ```text
 //! dqma-server [--addr HOST:PORT] [--workers N] [--queue N] [--journal PATH]
 //!             [--chaos] [--max-body BYTES] [--read-timeout-ms MS]
@@ -31,8 +38,8 @@
 //! Prints `dqma-server listening <addr>` on stdout once the socket is
 //! bound (the harness parses this to discover an ephemeral port).
 
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,6 +47,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dqma::service::{http, route, Service, ServiceConfig};
+
+/// How long an over-cap connection may linger after its `503`: enough for
+/// a request already on its way, short enough to keep the spare thread
+/// free.
+const OVER_CAP_LINGER: Duration = Duration::from_millis(50);
 
 struct Args {
     addr: String,
@@ -187,7 +199,10 @@ fn handle_connections(sh: &Arc<Shared>) {
             Some(_slot) => {
                 let _ = catch_unwind(AssertUnwindSafe(|| handle(&stream, sh, deadline)));
             }
-            None => respond(&stream, 503, "{\"error\":\"too many connections\"}"),
+            None => {
+                respond(&stream, 503, "{\"error\":\"too many connections\"}");
+                close_lingering(&stream, Instant::now() + OVER_CAP_LINGER);
+            }
         }
     }
 }
@@ -259,6 +274,9 @@ fn handle(stream: &TcpStream, sh: &Shared, deadline: Option<Instant>) {
                     dqma::service::json_escape(&e.to_string())
                 );
                 respond(stream, status, &body);
+                if let Some(deadline) = deadline {
+                    close_lingering(stream, deadline);
+                }
             }
         }
     }
@@ -267,4 +285,25 @@ fn handle(stream: &TcpStream, sh: &Shared, deadline: Option<Instant>) {
 fn respond(mut stream: &TcpStream, status: u16, body: &str) {
     let _ = stream.write_all(&http::response_bytes(status, body));
     let _ = stream.flush();
+}
+
+/// Shuts the write half, then discards input until the client closes, a
+/// read fails, or `until` passes; the caller's drop then closes.
+fn close_lingering(mut stream: &TcpStream, until: Instant) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
 }

@@ -218,8 +218,7 @@ fn malformed_and_oversized_requests_are_rejected_and_service_survives() {
         );
     }
     // Oversized declared body: refused with 413 from the declared
-    // Content-Length alone, before any body bytes arrive (sending none
-    // also keeps the response off the TCP-reset path unread data causes).
+    // Content-Length alone, before any body bytes arrive.
     if let Ok(mut s) = TcpStream::connect(&server.addr) {
         s.set_read_timeout(Some(TIMEOUT)).unwrap();
         let _ = s.write_all(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n");
@@ -434,8 +433,7 @@ fn connection_cap_sheds_at_once_and_bounds_the_threads() {
     }
 
     // A burst of stalled connections: two hold slots, the rest are
-    // refused, and the thread count stays inside the bound. They send
-    // nothing, so no refusal races a reset caused by unread bytes.
+    // refused, and the thread count stays inside the bound.
     let burst: Vec<TcpStream> = (0..20)
         .map(|_| TcpStream::connect(&server.addr).expect("connect"))
         .collect();
@@ -461,6 +459,42 @@ fn connection_cap_sheds_at_once_and_bounds_the_threads() {
             "{threads} threads > workers + max_conns + 1"
         );
     }
+}
+
+/// Refusals reach clients that sent their whole request: the server drains
+/// the unread request bytes before it closes, so no reset destroys the
+/// `503` before `client::call` reads it.
+#[test]
+fn over_cap_refusals_reach_clients_that_sent_a_full_request() {
+    let Some(server) = Server::launch(&["--max-conns", "1", "--read-timeout-ms", "30000"]) else {
+        return;
+    };
+    let mut held = TcpStream::connect(&server.addr).expect("connect");
+    held.write_all(b"GET /v1/healthz HTTP/1.1\r\nHo").unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    for i in 0..200 {
+        match client::call(&server.addr, "GET", "/v1/healthz", None, TIMEOUT) {
+            Ok((503, body)) => assert!(body.contains("too many connections"), "{body}"),
+            other => panic!("over-cap request {i}: {other:?}"),
+        }
+    }
+    drop(held);
+}
+
+/// A body over `--max-body` draws a `413` even when the client sends all of
+/// it before reading: the server drains the body instead of resetting.
+#[test]
+fn an_oversized_body_sent_in_full_still_reads_its_413() {
+    let Some(server) = Server::launch(&["--max-body", "4096"]) else {
+        return;
+    };
+    let body = format!("\"{}\"", "x".repeat(100_000));
+    let reply = client::call(&server.addr, "POST", "/v1/jobs", Some(&body), TIMEOUT);
+    assert!(
+        matches!(&reply, Ok((413, b)) if b.contains("too large")),
+        "got {reply:?}"
+    );
+    server.healthz();
 }
 
 /// Overload: with a tiny queue and a slow job pinning the worker, a flood
