@@ -1,11 +1,10 @@
-//! Shared helpers for the table-regeneration benchmark harness.
+//! Shared helpers for the benchmark harness.
 //!
-//! Each bench target regenerates one table (or table row group) of the paper:
-//! it sweeps the relevant parameters, measures the implemented protocol's
-//! costs and acceptance probabilities, and prints them next to the paper's
-//! closed-form bound so the scaling shape can be compared directly. The
-//! numbers are also written to `bench_output.txt` by the top-level
-//! `cargo bench` run.
+//! Each bench target times one layer of the workspace (qsim kernels,
+//! protocol rounds, the fault-injecting transport, the TCP fleet, the
+//! service), prints a table and writes a `BENCH_*.json` report at the
+//! repository root that `bench_compare` diffs against the committed one. The
+//! paper's tables are regenerated by `tests/paper_claims.rs`.
 
 use std::path::{Path, PathBuf};
 
@@ -32,12 +31,6 @@ pub fn fmt(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
-}
-
-/// Estimates the log-log slope between two measurements — used to compare the
-/// measured scaling exponent with the paper's.
-pub fn loglog_slope(x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
-    (y1 / y0).ln() / (x1 / x0).ln()
 }
 
 /// One timed micro-benchmark result.
@@ -274,11 +267,6 @@ mod tests {
         // A missing binary is left to the launch to report.
         assert_eq!(check_binary_fresh(&root.join("absent"), &root), Ok(()));
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn slope_of_a_square_law_is_two() {
-        assert!((loglog_slope(2.0, 4.0, 8.0, 64.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -244,9 +244,9 @@ impl EqPathProtocol {
     }
 
     /// Cost summary of the full protocol with the paper's parameters, computed
-    /// without materialising a fingerprint code — usable for very large `n` in
-    /// the benchmark sweeps. Fingerprint registers are `⌈log₂(8n)⌉` qubits as
-    /// in [`FingerprintScheme::new`].
+    /// without materialising a fingerprint code — usable for very large `n`.
+    /// Fingerprint registers are `⌈log₂(8n)⌉` qubits as in
+    /// [`FingerprintScheme::new`].
     pub fn costs_for(n: usize, r: usize) -> ProtocolCosts {
         let q = ((8 * n).next_power_of_two().trailing_zeros() as u64).max(1);
         let reps = SwapTestChain::paper_repetitions(r) as u64;

@@ -29,8 +29,6 @@
 //!   behind the `Ω(r·n)` classical lower bound (§4.2);
 //! * [`lower_bounds`] — the paper's dQMA lower bounds (§8) as formulas plus
 //!   executable attacks;
-//! * [`costs`] — the closed-form bounds of Tables 1–3 used by the benchmark
-//!   harness;
 //! * [`net`] — per-node round executors over the fault-injecting
 //!   message-passing transport of [`netsim::transport`]: the four protocol
 //!   round paths re-expressed as per-node programs with retry/timeout/
@@ -79,7 +77,6 @@
 pub mod adversary;
 pub mod chain;
 pub mod cluster;
-pub mod costs;
 pub mod dma;
 pub mod eq_path;
 pub mod eq_tree;

@@ -13,11 +13,12 @@
 //!   Corollaries 64–66) through the cut-the-path QMA* protocol of
 //!   Algorithm 11.
 //!
-//! Formulas use constant 1; the benchmark tables report them next to the
-//! measured upper-bound costs so the gaps discussed in the paper's Section 1.5
-//! are visible.
+//! Formulas use constant 1; `tests/paper_claims.rs` checks each one against
+//! the measured upper-bound costs and prints both, so the gaps discussed in
+//! the paper's Section 1.5 are visible. The bounds for DISJ, IP and the AND
+//! pattern matrix (Corollaries 64–66) are
+//! [`commproto::sdisc::dqma_total_lower_bound`].
 
-use commproto::sdisc::{dqma_total_lower_bound, HardProblem};
 use netsim::ProtocolCosts;
 use qsim::{DensityMatrix, PureState};
 
@@ -52,13 +53,6 @@ pub fn entangled_ratio_bound(n: usize, r: usize, eps: f64) -> f64 {
 /// entangled proofs, independent of `r`.
 pub fn entangled_combined_bound(n: usize, eps: f64) -> f64 {
     (n.max(2) as f64).log2().powf(0.25 - eps)
-}
-
-/// Corollaries 64–66: the total proof + communication bound for DISJ / IP /
-/// the AND pattern matrix, via the reduction to QMA communication lower
-/// bounds.
-pub fn hard_problem_bound(problem: HardProblem, n: usize) -> f64 {
-    dqma_total_lower_bound(problem, n)
 }
 
 /// The dQMA → QMA* reduction of Algorithm 11: cutting the path between
@@ -128,6 +122,7 @@ mod tests {
     use super::*;
     use commproto::bitstring::BitString;
     use commproto::fingerprint::FingerprintScheme;
+    use commproto::sdisc::{dqma_total_lower_bound, HardProblem};
 
     #[test]
     fn formula_shapes() {
@@ -137,8 +132,8 @@ mod tests {
         assert!(entangled_combined_bound(1 << 20, 0.01) > entangled_combined_bound(1 << 6, 0.01));
         assert!(entangled_ratio_bound(1 << 20, 2, 0.01) > entangled_ratio_bound(1 << 20, 8, 0.01));
         assert!(
-            hard_problem_bound(HardProblem::InnerProduct, 64)
-                > hard_problem_bound(HardProblem::Disjointness, 64)
+            dqma_total_lower_bound(HardProblem::InnerProduct, 64)
+                > dqma_total_lower_bound(HardProblem::Disjointness, 64)
         );
     }
 

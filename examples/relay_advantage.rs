@@ -1,12 +1,44 @@
-//! The robust quantum advantage on long paths (Section 4): when the network is
-//! long, relay points keep the *total* quantum proof size at Õ(r·n^{2/3}),
-//! while every sound classical protocol needs Ω(r·n) bits in total.
+//! The robust quantum advantage on long paths (Section 4): relay points keep
+//! the *total* quantum proof size at Õ(r·n^{2/3}), while every sound
+//! classical protocol needs Ω(r·n) bits in total (Corollary 25). The 42·s²
+//! repetition constant decides where the two cross; this prints where.
 //!
 //! Run with: `cargo run --example relay_advantage`
 
 use commproto::bitstring::BitString;
 use dqma::dma::dma_total_proof_threshold;
 use dqma::relay::RelayEqProtocol;
+
+/// Prints one sweep row per `(n, r, spacing)` and returns the first `n` at
+/// which the quantum total is below the classical threshold.
+fn sweep(rows: impl Iterator<Item = (u32, usize, usize)>) -> Option<u32> {
+    println!(
+        "{:>6} {:>6} {:>8} {:>20} {:>20} {:>10}",
+        "n", "r", "spacing", "quantum (qubits)", "classical LB (bits)", "ratio"
+    );
+    let mut crossover = None;
+    for (k, r, spacing) in rows {
+        let n = 1usize << k;
+        let quantum = RelayEqProtocol::costs_for(n, r, spacing).total_proof_qubits;
+        let classical = dma_total_proof_threshold(n, r, 1);
+        let ratio = quantum as f64 / classical as f64;
+        println!(
+            "{:>6} {r:>6} {spacing:>8} {quantum:>20} {classical:>20} {ratio:>9.2}x",
+            format!("2^{k}")
+        );
+        if ratio < 1.0 {
+            crossover.get_or_insert(k);
+        }
+    }
+    crossover
+}
+
+fn report(crossover: Option<u32>) {
+    match crossover {
+        Some(k) => println!("the quantum total is first below the classical bound at n = 2^{k}"),
+        None => println!("the quantum total stays above the classical bound on this sweep"),
+    }
+}
 
 fn main() {
     // Behavioural check on a small instance.
@@ -21,23 +53,18 @@ fn main() {
     let cheat = protocol.best_interpolating_acceptance(&x, &y);
     println!("  best interpolating-relay cheat on unequal inputs: {cheat:.6}");
 
-    // Cost sweep: total proof size versus the classical Ω(r·n) lower bound.
-    println!("\ntotal proof size as the input grows (path length r = 64):");
-    println!(
-        "{:>12} {:>20} {:>20} {:>20}",
-        "n", "quantum (qubits)", "classical LB (bits)", "paper formula"
-    );
-    let r = 64;
-    for exp in [8usize, 12, 16, 20, 24] {
-        let n = 1usize << exp;
-        let spacing = (n as f64).powf(1.0 / 3.0).ceil() as usize;
-        let quantum = RelayEqProtocol::costs_for(n, r, spacing).total_proof_qubits;
-        let classical = dma_total_proof_threshold(n, r, 1);
-        let formula = RelayEqProtocol::paper_total_cost(n, r);
-        println!("{n:>12} {quantum:>20} {classical:>20} {formula:>20.0}");
-    }
-    println!(
-        "\nthe quantum total grows like n^(2/3)·polylog(n) while the classical lower bound grows \
-         linearly in n — the crossover the paper's Theorem 2 establishes."
-    );
+    println!("\nthe paper's spacing ⌈n^(1/3)⌉, path length r = 4·⌈n^(1/3)⌉ (three relay points):");
+    report(sweep((12..=42).step_by(3).map(|k| {
+        let s = RelayEqProtocol::paper_spacing(1 << k);
+        (k, 4 * s, s)
+    })));
+
+    println!("\nthe cost-minimising spacing (about n^(1/3)/16), path length r = 4096:");
+    report(sweep((18..=36).step_by(3).map(|k| {
+        (
+            k,
+            4096,
+            RelayEqProtocol::cost_minimising_spacing(1 << k, 4096),
+        )
+    })));
 }

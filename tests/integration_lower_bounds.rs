@@ -7,7 +7,7 @@ use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
 use commproto::fooling::eq_fooling_set;
 use commproto::problems::{Equality, TwoPartyFunction};
-use commproto::sdisc::HardProblem;
+use commproto::sdisc::{dqma_total_lower_bound, HardProblem};
 use dqma::chain::{cheating_proof, ChainCheat, SwapTestChain};
 use dqma::dma::{dma_total_proof_threshold, SketchEqDma};
 use dqma::eq_path::EqPathProtocol;
@@ -84,7 +84,7 @@ fn table3_formulas_sit_below_measured_upper_bounds() {
     assert!(lower_bounds::dqmasepsep_total_bound(n, r) < measured_total);
     assert!(lower_bounds::entangled_combined_bound(n, 0.01) < measured_total);
     assert!(lower_bounds::entangled_r_bound(r) < measured_total);
-    assert!(lower_bounds::hard_problem_bound(HardProblem::InnerProduct, n) > 0.0);
+    assert!(dqma_total_lower_bound(HardProblem::InnerProduct, n) > 0.0);
 }
 
 #[test]
