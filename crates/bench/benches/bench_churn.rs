@@ -11,8 +11,9 @@
 //!    digest/tally identity before it trusts the timing). The ratio is the
 //!    cost of real sockets, OS scheduling and process isolation over the
 //!    in-memory channel transport. The design ceiling is **2000×** of the
-//!    in-process sampler — the fleet pays ~64 syscall-bound sequential
-//!    hops per round against an in-memory loop that clears a round in ~1 µs — tracked
+//!    in-process sampler — the fleet pays socket syscalls and context
+//!    switches per burst of hops against an in-memory loop that clears a
+//!    round in ~1 µs — tracked
 //!    across PRs as `speedup_tcp_ceiling_margin = 2000 · ns_inprocess /
 //!    ns_tcp` (a `speedup_*` column so `bench_compare` can gate its
 //!    trajectory); the in-bench hard ceiling is **3×** that margin's

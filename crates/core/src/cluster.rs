@@ -36,7 +36,7 @@
 //! the trial, so frames from lagging peers are acknowledged (their sender
 //! completes) but never delivered into a later trial.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -455,16 +455,6 @@ impl ProgramSpec {
 // Node process
 // ---------------------------------------------------------------------------
 
-/// Maps a fault to its single-digit wire code (`f<code>` result token).
-fn fault_code(cause: &FaultCause) -> u32 {
-    match cause {
-        FaultCause::RetriesExhausted { .. } => 1,
-        FaultCause::RecvTimeout { .. } => 2,
-        FaultCause::NodeCrashed { .. } => 3,
-        FaultCause::NodePanicked => 4,
-    }
-}
-
 /// Configuration of one `dqma-node` process, reconstructed from its argv.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -530,7 +520,7 @@ fn other(msg: impl Into<String>) -> io::Error {
 /// [`TcpTransport`] for protocol data, announces `hello <node> <addr>`,
 /// then serves control lines: `peers` installs the fleet's data
 /// addresses, `program` installs a decoded [`ProgramSpec`], `run` replays
-/// a batch of trials (reporting per-trial decisions back), `abandon`
+/// a batch of trials and reports it back in one `res` line, `abandon`
 /// cancels the batch in flight at the next trial boundary, and `quit`
 /// (or control-channel EOF) exits.
 pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
@@ -646,12 +636,14 @@ fn apply_peers(
     Ok(())
 }
 
-/// Replays trials `first..first + count` of `block`, reporting
-/// `o <trial> <decision> <digest> <sent> <retries>` lines under a
-/// `res <block> <first> <done>` header (then `end`). Control lines
-/// arriving mid-batch are deferred to the caller, except `abandon` /
-/// `quit`, which stop the batch at the next trial boundary — the partial
-/// report still goes out so the supervisor can account for every trial.
+/// Replays trials `first..first + count` of `block` and reports the
+/// `done` trials it ran in one line (see [`format_report`]): per trial a
+/// decision code and a digest, and the batch's `sent`/`retries` totals.
+/// Control lines arriving mid-batch are deferred to the caller, except
+/// `abandon` / `quit`, which stop the batch at the next trial boundary —
+/// the partial report still goes out so the supervisor can account for
+/// every trial. The transport's queued frames are flushed before the
+/// report, so no peer waits on a frame this node holds.
 ///
 /// `base` is the supervisor's epoch base for this `run` invocation:
 /// trial `g` uses TCP epoch `base + g + 1`, and the base strictly
@@ -674,8 +666,7 @@ fn run_batch(
 ) -> io::Result<()> {
     let me = cfg.node;
     let stream = BlockRng::new(seed, block);
-    let mut out = String::new();
-    let mut done = 0u64;
+    let mut report = BatchReport::default();
     let mut stop = false;
     for i in 0..count {
         while let Ok(l) = rx.try_recv() {
@@ -696,19 +687,122 @@ fn run_batch(
         transport.set_epoch(base + g + 1);
         let (decision, _vtime, stats) =
             run_single_node(program, me, transport, &cfg.policy, stream.trial(t));
-        let code = match &decision {
-            Ok(true) => "a".to_string(),
-            Ok(false) => "r".to_string(),
-            Err(cause) => format!("f{}", fault_code(cause)),
-        };
-        out.push_str(&format!(
-            "o {t} {code} {:016x} {} {}\n",
-            stats.digest, stats.sent, stats.retries
-        ));
-        done += 1;
+        report.codes.push(match decision {
+            Ok(true) => TrialCode::Accept,
+            Ok(false) => TrialCode::Reject,
+            Err(_) => TrialCode::Fault,
+        });
+        report.digests.push(stats.digest);
+        report.sent += stats.sent;
+        report.retries += stats.retries;
     }
-    write!(ctl_w, "res {block} {first} {done}\n{out}end\n")?;
+    transport.flush();
+    let mut line = format_report(block, first, &report);
+    line.push('\n');
+    ctl_w.write_all(line.as_bytes())?;
     ctl_w.flush()
+}
+
+/// One node's report of one batch: a decision code and a digest per trial,
+/// indexed by offset from the batch's first trial, and the batch's totals.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct BatchReport {
+    codes: Vec<TrialCode>,
+    digests: Vec<u64>,
+    /// Send attempts, summed over the reported trials.
+    sent: u64,
+    /// Re-attempts, summed over the reported trials.
+    retries: u64,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TrialCode {
+    Accept,
+    Reject,
+    Fault,
+}
+
+/// The batch line `res <block> <first> <done> <sent> <retries> <codes>
+/// <digests>`, without its newline: `<codes>` holds one `a`/`r`/`f` byte
+/// per trial, `<digests>` 16 lower-case hex digits per trial, and both are
+/// `-` when `done` is 0.
+fn format_report(block: u64, first: u64, report: &BatchReport) -> String {
+    let done = report.codes.len();
+    let mut line = format!(
+        "res {block} {first} {done} {} {} ",
+        report.sent, report.retries
+    );
+    if done == 0 {
+        line.push_str("- -");
+        return line;
+    }
+    line.reserve(17 * done);
+    line.extend(report.codes.iter().map(|code| match code {
+        TrialCode::Accept => 'a',
+        TrialCode::Reject => 'r',
+        TrialCode::Fault => 'f',
+    }));
+    line.push(' ');
+    for d in &report.digests {
+        line.extend((0..16).rev().map(|i| {
+            let nibble = ((d >> (4 * i)) & 0xf) as u32;
+            char::from_digit(nibble, 16).expect("a nibble is one hex digit")
+        }));
+    }
+    line
+}
+
+/// Parses a [`format_report`] line into `(block, first, report)`. A missing
+/// or extra token, a bad number, an unknown code byte, a non-hex digit, or
+/// a `<codes>`/`<digests>` length that disagrees with `done` is an error.
+fn parse_report(line: &str) -> Result<(u64, u64, BatchReport), String> {
+    let mut tok = Tokens::new(line);
+    if tok.next_str() != Some("res") {
+        return Err(format!("not a report line: {line:?}"));
+    }
+    let (block, first, done) = (tok.u64()?, tok.u64()?, tok.usize()?);
+    let (sent, retries) = (tok.u64()?, tok.u64()?);
+    let mut field = || tok.expect().map(|t| if t == "-" { "" } else { t });
+    let (codes, digests) = (field()?, field()?);
+    if let Some(extra) = tok.next_str() {
+        return Err(format!("trailing token {extra:?}"));
+    }
+    if codes.len() != done || done.checked_mul(16) != Some(digests.len()) {
+        return Err(format!(
+            "{done} trials but {} codes and {} digest digits",
+            codes.len(),
+            digests.len()
+        ));
+    }
+    let codes = codes
+        .bytes()
+        .map(|b| match b {
+            b'a' => Ok(TrialCode::Accept),
+            b'r' => Ok(TrialCode::Reject),
+            b'f' => Ok(TrialCode::Fault),
+            _ => Err(format!("bad decision code {:?}", b as char)),
+        })
+        .collect::<Result<_, _>>()?;
+    let digests = digests
+        .as_bytes()
+        .chunks(16)
+        .map(|hex| {
+            hex.iter().try_fold(0u64, |acc, &b| {
+                let digit = (b as char).to_digit(16).ok_or("bad digest digit")?;
+                Ok::<_, String>((acc << 4) | u64::from(digit))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((
+        block,
+        first,
+        BatchReport {
+            codes,
+            digests,
+            sent,
+            retries,
+        },
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -920,23 +1014,6 @@ pub fn locate_bin(name: &str, env_var: &str) -> Option<PathBuf> {
     None
 }
 
-/// A per-trial report line from one node.
-#[derive(Clone, Debug)]
-struct TrialLine {
-    trial: u64,
-    code: TrialCode,
-    digest: u64,
-    sent: u64,
-    retries: u64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TrialCode {
-    Accept,
-    Reject,
-    Fault,
-}
-
 enum NodeMsg {
     Hello {
         addr: SocketAddr,
@@ -945,13 +1022,15 @@ enum NodeMsg {
     Batch {
         block: u64,
         first: u64,
-        lines: Vec<TrialLine>,
+        report: BatchReport,
     },
     Dead,
 }
 
-/// Serves one node's control connection: forwards its hello and batch
-/// reports to the supervisor loop, then a final `Dead` on disconnect.
+/// Serves one node's control connection: forwards its hello and its batch
+/// reports (one `res` line each, parsed by [`parse_report`] into per-trial
+/// vectors) to the supervisor loop, then a final `Dead` on disconnect or on
+/// a malformed report line.
 fn serve_conn(stream: TcpStream, tx: Sender<(NodeId, NodeMsg)>) {
     stream.set_nodelay(true).ok();
     let writer = match stream.try_clone() {
@@ -981,65 +1060,24 @@ fn serve_conn(stream: TcpStream, tx: Sender<(NodeId, NodeMsg)>) {
         _ => return,
     };
     loop {
-        let Some(Ok(header)) = lines.next() else {
+        let Some(Ok(line)) = lines.next() else {
             let _ = tx.send((node, NodeMsg::Dead));
             return;
         };
-        let mut tok = Tokens::new(&header);
-        if tok.next_str() != Some("res") {
+        if Tokens::new(&line).next_str() != Some("res") {
             continue;
         }
-        let (Ok(block), Ok(first), Ok(done)) = (tok.u64(), tok.u64(), tok.u64()) else {
+        let Ok((block, first, report)) = parse_report(&line) else {
             let _ = tx.send((node, NodeMsg::Dead));
             return;
         };
-        let mut batch = Vec::with_capacity(done as usize);
-        loop {
-            let Some(Ok(line)) = lines.next() else {
-                let _ = tx.send((node, NodeMsg::Dead));
-                return;
-            };
-            if line == "end" {
-                break;
-            }
-            let mut tok = Tokens::new(&line);
-            if tok.next_str() != Some("o") {
-                continue;
-            }
-            let parsed = (|| -> Result<TrialLine, String> {
-                let trial = tok.u64()?;
-                let code = match tok.expect()? {
-                    "a" => TrialCode::Accept,
-                    "r" => TrialCode::Reject,
-                    t if t.starts_with('f') => TrialCode::Fault,
-                    t => return Err(format!("bad decision token {t:?}")),
-                };
-                let digest = u64::from_str_radix(tok.expect()?, 16).map_err(|e| e.to_string())?;
-                let sent = tok.u64()?;
-                let retries = tok.u64()?;
-                Ok(TrialLine {
-                    trial,
-                    code,
-                    digest,
-                    sent,
-                    retries,
-                })
-            })();
-            match parsed {
-                Ok(l) => batch.push(l),
-                Err(_) => {
-                    let _ = tx.send((node, NodeMsg::Dead));
-                    return;
-                }
-            }
-        }
         if tx
             .send((
                 node,
                 NodeMsg::Batch {
                     block,
                     first,
-                    lines: batch,
+                    report,
                 },
             ))
             .is_err()
@@ -1379,8 +1417,8 @@ impl Cluster {
         targets: &[NodeId],
         block: u64,
         first: u64,
-    ) -> io::Result<HashMap<NodeId, HashMap<u64, TrialLine>>> {
-        let mut got: HashMap<NodeId, HashMap<u64, TrialLine>> = HashMap::new();
+    ) -> io::Result<Vec<Option<BatchReport>>> {
+        let mut got: Vec<Option<BatchReport>> = vec![None; self.num_nodes];
         let mut waiting: HashSet<NodeId> = targets.iter().copied().collect();
         let deadline = Instant::now() + self.cfg.effective_batch_deadline();
         while !waiting.is_empty() {
@@ -1391,12 +1429,11 @@ impl Cluster {
                     NodeMsg::Batch {
                         block: rb,
                         first: rf,
-                        lines,
+                        report,
                     },
                 )) if rb == block && rf == first => {
-                    let per_trial = got.entry(node).or_default();
-                    for l in lines {
-                        per_trial.insert(l.trial, l);
+                    if let Some(slot) = got.get_mut(node) {
+                        *slot = Some(report);
                     }
                     waiting.remove(&node);
                 }
@@ -1456,28 +1493,31 @@ impl Cluster {
     /// Folds one batch into the tallies, mirroring the sequential
     /// sampler's fold exactly: per trial, XOR the per-node digests, add
     /// the salt, `mix`, XOR into the running digest; any fault or missing
-    /// report aborts the trial, otherwise unanimity accepts.
+    /// report aborts the trial, otherwise unanimity accepts. `got` holds
+    /// each node's report, indexed by node and then by trial offset.
     fn fold_batch(
         &self,
         outcomes: &mut BlockOutcomes,
         stream: &BlockRng,
         first: u64,
         count: u64,
-        got: &HashMap<NodeId, HashMap<u64, TrialLine>>,
+        got: &[Option<BatchReport>],
     ) {
-        for t in first..first + count {
+        for report in got.iter().flatten() {
+            outcomes.messages += report.sent;
+            outcomes.retries += report.retries;
+        }
+        for (i, t) in (first..first + count).enumerate() {
             let salt = stream.trial(t).salt();
             let mut digest = 0u64;
             let mut fault = false;
             let mut reject = false;
             let mut missing = false;
-            for v in 0..self.num_nodes {
-                match got.get(&v).and_then(|m| m.get(&t)) {
-                    Some(line) => {
-                        digest ^= line.digest;
-                        outcomes.messages += line.sent;
-                        outcomes.retries += line.retries;
-                        match line.code {
+            for report in got {
+                match report.as_ref().filter(|r| i < r.codes.len()) {
+                    Some(r) => {
+                        digest ^= r.digests[i];
+                        match r.codes[i] {
                             TrialCode::Accept => {}
                             TrialCode::Reject => reject = true,
                             TrialCode::Fault => fault = true,
@@ -1705,6 +1745,62 @@ mod tests {
                     "trial {t}: nodes must draw from distinct streams"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn batch_report_lines_roundtrip() {
+        use TrialCode::{Accept, Fault, Reject};
+        let full = BatchReport {
+            codes: (0..2048).map(|i| [Accept, Reject, Fault][i % 3]).collect(),
+            digests: (0..2048u64).map(mix).collect(),
+            sent: 18_432,
+            retries: 5,
+        };
+        let partial = BatchReport {
+            codes: vec![Accept, Fault, Accept, Reject],
+            digests: vec![0, u64::MAX, 0x0123_4567_89ab_cdef, 1 << 63],
+            sent: 36,
+            retries: 0,
+        };
+        let empty = BatchReport::default();
+        for (block, first, report) in [(0, 0, full), (7, 4096, partial), (u64::MAX, 12, empty)] {
+            let line = format_report(block, first, &report);
+            assert_eq!(parse_report(&line), Ok((block, first, report)), "{line}");
+        }
+    }
+
+    #[test]
+    fn malformed_batch_report_lines_are_errors() {
+        let good = format_report(
+            1,
+            2,
+            &BatchReport {
+                codes: vec![TrialCode::Accept, TrialCode::Fault],
+                digests: vec![0xab, 0xcd],
+                sent: 4,
+                retries: 1,
+            },
+        );
+        let d = "00000000000000ab00000000000000cd";
+        assert_eq!(good, format!("res 1 2 2 4 1 af {d}"));
+        assert!(parse_report(&good).is_ok());
+        let cases = [
+            ("more trials than codes", format!("res 1 2 3 4 1 af {d}")),
+            ("a short digest", format!("res 1 2 2 4 1 af {}", &d[1..])),
+            ("a long digest", format!("res 1 2 2 4 1 af {d}0")),
+            ("no trials under done = 2", "res 1 2 2 4 1 - -".to_string()),
+            ("unknown code byte", format!("res 1 2 2 4 1 ax {d}")),
+            ("non-hex digit", format!("res 1 2 2 4 1 af {}g", &d[1..])),
+            ("signed digest", format!("res 1 2 2 4 1 af +{}", &d[1..])),
+            ("missing digests", "res 1 2 2 4 1 af".to_string()),
+            ("missing retries", format!("res 1 2 2 4 af {d}")),
+            ("trailing token", format!("{good} x")),
+            ("bad count", format!("res 1 2 two 4 1 af {d}")),
+            ("not a report", format!("rez 1 2 2 4 1 af {d}")),
+        ];
+        for (name, line) in cases {
+            assert!(parse_report(&line).is_err(), "{name}: {line}");
         }
     }
 

@@ -139,12 +139,12 @@ mod tests {
 
     #[test]
     fn combined_bound_is_independent_of_r_and_below_upper_bounds() {
-        // The Theorem 56 bound must sit below the Theorem 19 upper bound —
+        // The Theorem 56 bound must sit below the measured EQ-path total —
         // the "gap" the paper's open problem 3 refers to.
         let n = 1 << 12;
         for r in [2usize, 8, 32] {
             let lower = entangled_combined_bound(n, 0.01);
-            let upper = crate::eq_path::EqPathProtocol::paper_local_cost(n, r) * (r as f64 + 1.0);
+            let upper = crate::eq_path::EqPathProtocol::costs_for(n, r).total_qubits() as f64;
             assert!(lower < upper, "r={r}: lower {lower} vs upper {upper}");
         }
     }

@@ -348,21 +348,36 @@ impl RelayEqProtocol {
     /// evaluated for very large `n`, in O(1): the spacing sweeps evaluate it
     /// thousands of times at `r = 4096`. Fingerprint registers are
     /// `⌈log₂(8n)⌉` qubits as in [`FingerprintScheme::new`].
+    ///
+    /// # Panics
+    ///
+    /// In every build profile, when a count does not fit in `u64` (e.g. the
+    /// total proof at `n = 2^34`, `r = 2^19`, `spacing = 2^17`).
     pub fn costs_for(n: usize, r: usize, spacing: usize) -> ProtocolCosts {
-        let q = ((8 * n).next_power_of_two().trailing_zeros() as u64).max(1);
-        let reps = (42 * spacing * spacing) as u64;
+        let fits = |v: Option<u64>| {
+            v.unwrap_or_else(|| {
+                panic!("relay costs overflow u64 at n = {n}, r = {r}, spacing = {spacing}")
+            })
+        };
+        let (n, r, spacing) = (n as u64, r as u64, spacing as u64);
+        let q = fits(n.checked_mul(8).and_then(u64::checked_next_power_of_two));
+        let q = (q.trailing_zeros() as u64).max(1);
+        let reps = fits(spacing.checked_mul(spacing).and_then(|s| s.checked_mul(42)));
         // Intermediate node j is a relay point, holding the n-bit string,
         // exactly when `j % spacing == 0`; the others hold two segment
         // registers. Every edge carries one segment register.
-        let intermediate = r.saturating_sub(1) as u64;
-        let relays = intermediate / spacing as u64;
-        let segment = 2 * reps * q;
+        let intermediate = r.saturating_sub(1);
+        let relays = intermediate / spacing;
+        let segment = fits(reps.checked_mul(2 * q));
         let held = |count: u64, size: u64| if count > 0 { size } else { 0 };
+        let relay_total = fits(relays.checked_mul(n));
+        let segment_total = fits((intermediate - relays).checked_mul(segment));
+        let message = fits(reps.checked_mul(q));
         ProtocolCosts {
-            local_proof_qubits: held(relays, n as u64).max(held(intermediate - relays, segment)),
-            total_proof_qubits: relays * n as u64 + (intermediate - relays) * segment,
-            local_message_qubits: held(r as u64, reps * q),
-            total_message_qubits: r as u64 * reps * q,
+            local_proof_qubits: held(relays, n).max(held(intermediate - relays, segment)),
+            total_proof_qubits: fits(relay_total.checked_add(segment_total)),
+            local_message_qubits: held(r, message),
+            total_message_qubits: fits(r.checked_mul(message)),
             rounds: 1,
             ..ProtocolCosts::default()
         }
@@ -644,5 +659,14 @@ mod tests {
         // Linear in r.
         let ratio = c2 / c1;
         assert!((1.7..=2.3).contains(&ratio), "r-scaling {ratio}");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "relay costs overflow u64 at n = 17179869184, r = 524288, spacing = 131072"
+    )]
+    fn costs_past_u64_panic_with_the_instance_in_every_profile() {
+        // The total proof is about 2.8e19 here, above u64::MAX.
+        RelayEqProtocol::costs_for(1 << 34, 1 << 19, 1 << 17);
     }
 }

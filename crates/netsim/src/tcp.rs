@@ -5,8 +5,7 @@
 //!
 //! Every frame is length-prefixed: `[u32 len][u8 kind][body]`, all integers
 //! little-endian, where `len` counts the kind byte and the body. Each kind
-//! has exactly one legal length, and every frame leaves in a single write
-//! of a fixed-size buffer. Three kinds exist:
+//! has exactly one legal length. Three kinds exist:
 //!
 //! * `HELLO` (`kind = 1`, `len = 5`): `u32 src` — sent once by the
 //!   connection initiator, identifying which node's outbound traffic the
@@ -25,27 +24,46 @@
 //! unknown kind, or a first frame that is not `HELLO`. It drops (but still
 //! counts and acknowledges) a `DATA` frame whose `dst` is not its own node.
 //!
-//! # Pipelining: the window and replay
+//! # Pipelining: coalesced writes, the window and replay
 //!
-//! A send does not wait for its own acknowledgement. The sender keeps up to
-//! 64 (`WINDOW`) unacknowledged `DATA` frames per peer and reads acks only
-//! when that window is full; the receiver's connection handler acks
+//! A send writes nothing. It appends its frame to the connection's output
+//! buffer and to the peer's window of at most 64 (`WINDOW`)
+//! unacknowledged `DATA` frames. The buffer reaches the wire in one
+//! `write_all` at three points:
+//!
+//! * in [`Transport::recv`], when nothing is deliverable and the node is
+//!   about to wait (a peer may be waiting for those frames);
+//! * in a send that finds the window full, before it reads acks;
+//! * on [`TcpTransport::flush`], which a caller uses before it stops
+//!   sending for a while (the cluster node calls it before every batch
+//!   report).
+//!
+//! So the frames a node sends between two waits leave as one burst, and
+//! the window bounds the buffer. The receiver's connection handler acks
 //! whenever its read buffer drains, and at least every 32 (`ACK_EVERY`)
 //! frames, so a full window usually clears in one read. When a connection
-//! fails, the sender keeps the unacknowledged frames; on the next dial to
-//! the *same* address it writes `HELLO`, replays them in order, then the
-//! new frame. The receiver's `(epoch, src, seq)` dedup absorbs whatever the
-//! old connection had already delivered. [`TcpTransport::set_peer`] with a
-//! new address (a restarted process) drops the connection and its replay
-//! frames; with an unchanged address it keeps both.
+//! fails (a refused dial, or a failed write at any of the three points),
+//! the sender keeps the unacknowledged frames. The next send to the *same*
+//! address redials, queues `HELLO` and the replayed frames in order ahead
+//! of its own, and they leave together at the next of those points. The
+//! receiver's `(epoch, src, seq)` dedup absorbs whatever the old connection
+//! had already delivered. [`TcpTransport::set_peer`] with a new address (a
+//! restarted process) drops the connection and its replay frames; with an
+//! unchanged address it keeps both.
 //!
 //! So on this transport [`SendOutcome::Acked`] means "accepted into the
-//! window of a live connection", not "received". A dead peer shows up on
-//! the dial (refused), on a failed write (reset), or when the window fills
-//! and no ack arrives within the attempt's wall window; a frame that died
-//! with its connection before the receiver read it breaks its trial through
-//! the receiver's [`crate::transport::FaultCause::RecvTimeout`] or the
-//! supervisor's missing report, never as a silently wrong delivery.
+//! window of a live connection", not "written" and not "received". A dead
+//! peer shows up on the dial (refused), on a failed write (reset; the next
+//! send redials), or when the window fills and no ack arrives within the
+//! attempt's wall window. A frame that died with its connection before the
+//! receiver read it breaks its trial through the receiver's
+//! [`crate::transport::FaultCause::RecvTimeout`] or the supervisor's missing
+//! report, never as a silently wrong delivery.
+//!
+//! The mailbox's condvar is notified only while a receiver is blocked on
+//! it: std's `Condvar` makes a wake syscall on every notify, whether or not
+//! a thread waits, and a node that pins its own epoch once per trial would
+//! otherwise pay for wakes nobody needs.
 //!
 //! # Epochs and the block-index determinism contract
 //!
@@ -162,6 +180,8 @@ struct MailState {
     queue: VecDeque<(u64, Envelope)>,
     /// `(src, seq)` of everything delivered in the current epoch.
     delivered: Vec<(NodeId, u32)>,
+    /// Receivers blocked on the condvar; producers notify only when some.
+    waiters: usize,
 }
 
 type Mail = Arc<(Mutex<MailState>, Condvar)>;
@@ -209,7 +229,7 @@ impl MailState {
 struct Peer {
     addr: SocketAddr,
     conn: Option<Conn>,
-    /// `DATA` frames written but not acknowledged yet, oldest first (at
+    /// `DATA` frames accepted but not acknowledged yet, oldest first (at
     /// most [`WINDOW`]); replayed on the next dial.
     unacked: VecDeque<DataFrame>,
 }
@@ -218,7 +238,10 @@ struct Peer {
 struct Conn {
     /// Reads acks; frames are written through `get_ref()`.
     reader: BufReader<TcpStream>,
-    /// `DATA` frames written on this connection, replays included.
+    /// Frames queued for the next write: a suffix of the window, after
+    /// `HELLO` on a fresh dial.
+    out: Vec<u8>,
+    /// `DATA` frames queued on this connection, replays included.
     sent: u64,
     /// The `SO_RCVTIMEO` installed on the socket.
     timeout: Option<Duration>,
@@ -233,9 +256,10 @@ impl Peer {
         }
     }
 
-    /// Puts `frame` on the wire, dialling (and replaying) first if there is
-    /// no live connection, and waiting up to `budget` for acks if the
-    /// window is full. On `Err` the caller drops the connection.
+    /// Accepts `frame` into the window and queues it for the next write,
+    /// dialling first if there is no live connection. A full window is
+    /// written out and waits up to `budget` for acks. On `Err` the caller
+    /// drops the connection.
     fn send(
         &mut self,
         me: NodeId,
@@ -248,25 +272,28 @@ impl Peer {
         }
         let conn = self.conn.as_mut().expect("dialled above");
         if self.unacked.len() >= WINDOW {
+            conn.flush()?;
             conn.await_acks(&mut self.unacked, budget)?;
         }
-        conn.reader.get_ref().write_all(frame)?;
+        conn.out.extend_from_slice(frame);
         conn.sent += 1;
         self.unacked.push_back(*frame);
         Ok(())
     }
 
-    /// Connects, announces `me`, and replays the unacknowledged frames.
+    /// Connects, and queues `HELLO` for `me` and the replay of the
+    /// unacknowledged frames.
     fn dial(&self, me: NodeId, timeout: Duration) -> io::Result<Conn> {
         let s = TcpStream::connect_timeout(&self.addr, timeout.max(Duration::from_millis(1)))?;
         s.set_nodelay(true)?;
         let hello: [u8; 4 + HELLO_LEN] = frame(KIND_HELLO, &[&(me as u32).to_le_bytes()]);
-        (&s).write_all(&hello)?;
+        let mut out = hello.to_vec();
         for f in &self.unacked {
-            (&s).write_all(f)?;
+            out.extend_from_slice(f);
         }
         Ok(Conn {
             reader: BufReader::new(s),
+            out,
             sent: self.unacked.len() as u64,
             timeout: None,
         })
@@ -274,6 +301,15 @@ impl Peer {
 }
 
 impl Conn {
+    /// Writes the queued frames in one `write_all`.
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.out.is_empty() {
+            self.reader.get_ref().write_all(&self.out)?;
+            self.out.clear();
+        }
+        Ok(())
+    }
+
     /// Reads acks until the window has room and no whole ack is left in
     /// the read buffer. Fails on a malformed ack or after `budget`.
     fn await_acks(
@@ -391,10 +427,35 @@ impl TcpTransport {
     /// supervisor `abandon`). Buffered future-epoch deliveries for the new
     /// epoch become visible; everything older is pruned.
     pub fn set_epoch(&self, epoch: u64) {
+        self.enter_epoch(|_| epoch);
+    }
+
+    /// Moves the mailbox to `next(current epoch)`, resets the virtual clock
+    /// and wakes a blocked receiver, if there is one.
+    fn enter_epoch(&self, next: impl FnOnce(u64) -> u64) {
         let (lock, cvar) = &*self.mail;
-        lock.lock().expect("mailbox lock poisoned").set_epoch(epoch);
+        let wake = {
+            let mut mail = lock.lock().expect("mailbox lock poisoned");
+            let epoch = next(mail.epoch);
+            mail.set_epoch(epoch);
+            mail.waiters > 0
+        };
         self.vclock.store(0, Ordering::Relaxed);
-        cvar.notify_all();
+        if wake {
+            cvar.notify_all();
+        }
+    }
+
+    /// Writes every peer's queued frames, one `write_all` per connection.
+    /// A failed write drops that connection; its frames stay in the window
+    /// and the next send to that peer redials and replays them.
+    pub fn flush(&self) {
+        let mut peers = self.peers.lock().expect("peer table lock poisoned");
+        for peer in peers.values_mut() {
+            if peer.conn.as_mut().is_some_and(|c| c.flush().is_err()) {
+                peer.conn = None;
+            }
+        }
     }
 
     /// The current trial epoch.
@@ -475,33 +536,38 @@ impl Transport for TcpTransport {
         let budget = self.cfg.wall(deadline.saturating_sub(v));
         let wall_deadline = start + budget;
         let (lock, cvar) = &*self.mail;
+        let mut flushed = false;
         let mut mail = lock.lock().expect("mailbox lock poisoned");
         loop {
             if let Some(env) = mail.pop() {
                 drop(mail);
                 return RecvOutcome::Delivered(env, self.advance_vclock(start));
             }
+            if !flushed {
+                // About to wait: put this node's queued frames on the wire
+                // first, without the lock the connection handlers need.
+                drop(mail);
+                self.flush();
+                flushed = true;
+                mail = lock.lock().expect("mailbox lock poisoned");
+                continue;
+            }
             let left = wall_deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 self.advance_vclock(start);
                 return RecvOutcome::TimedOut;
             }
+            mail.waiters += 1;
             let (guard, _timeout) = cvar
                 .wait_timeout(mail, left)
                 .expect("mailbox lock poisoned");
             mail = guard;
+            mail.waiters -= 1;
         }
     }
 
     fn begin_trial(&self, _salt: u64) {
-        let (lock, cvar) = &*self.mail;
-        {
-            let mut mail = lock.lock().expect("mailbox lock poisoned");
-            let next = mail.epoch + 1;
-            mail.set_epoch(next);
-        }
-        self.vclock.store(0, Ordering::Relaxed);
-        cvar.notify_all();
+        self.enter_epoch(|epoch| epoch + 1);
     }
 }
 
@@ -547,7 +613,11 @@ fn handle_peer(stream: TcpStream, node: NodeId, mail: Mail) -> io::Result<()> {
         // so a lagging sender completes instead of retrying forever.
         if env.dst == node {
             let (lock, cvar) = &*mail;
-            if lock.lock().expect("mailbox lock poisoned").push(epoch, env) {
+            let wake = {
+                let mut m = lock.lock().expect("mailbox lock poisoned");
+                m.push(epoch, env) && m.waiters > 0
+            };
+            if wake {
                 cvar.notify_all();
             }
         }
@@ -664,6 +734,21 @@ mod tests {
         (u32_at(body, 17), u32_at(body, 21))
     }
 
+    /// Whether `t` holds a live connection to `peer`.
+    fn connected(t: &TcpTransport, peer: NodeId) -> bool {
+        let peers = t.peers.lock().unwrap();
+        peers.get(&peer).is_some_and(|p| p.conn.is_some())
+    }
+
+    /// Spins until `t`'s mailbox satisfies `ready`; fails after 10 s.
+    fn await_mail(t: &TcpTransport, ready: impl Fn(&MailState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready(&t.mail.0.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "the mailbox never got there");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn delivers_and_acks_over_loopback() {
         let Some((a, b)) = pair() else { return };
@@ -671,11 +756,77 @@ mod tests {
         b.begin_trial(7);
         let got = a.send(0, &env(0, 1, 0, 42), 1 << 20);
         assert!(matches!(got, SendOutcome::Acked(_)));
+        a.flush();
         let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
             panic!("expected delivery");
         };
         assert_eq!(e.payload, 42);
         assert_eq!(e.src, 0);
+    }
+
+    #[test]
+    fn a_node_about_to_block_in_recv_writes_its_queued_frames() {
+        let Some((a, b)) = pair() else { return };
+        a.set_epoch(1);
+        b.set_epoch(1);
+        let got = a.send(0, &env(0, 1, 0, 8), 1 << 20);
+        assert!(matches!(got, SendOutcome::Acked(_)));
+        // Nothing for `a` to receive: before it waits, its frame leaves.
+        assert_eq!(a.recv(0, 1), RecvOutcome::TimedOut);
+        let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
+            panic!("the frame must leave when its sender waits");
+        };
+        assert_eq!(e.payload, 8);
+    }
+
+    #[test]
+    fn a_blocked_recv_wakes_on_a_delivery_and_on_another_threads_epoch_change() {
+        let Ok(a) = TcpTransport::bind(0) else { return };
+        let cfg = TcpConfig {
+            max_wait: Duration::from_secs(4),
+            ..TcpConfig::default()
+        };
+        let Ok(b) = TcpTransport::with_config(1, cfg) else {
+            return;
+        };
+        a.set_peer(1, b.local_addr());
+        a.set_epoch(1);
+        b.set_epoch(1);
+        // Four seconds of wall at the default 1000 ns per virtual ns; a
+        // woken receiver returns in a fraction of that.
+        let deadline: VTime = 4_000_000;
+        let timed_recv = || {
+            let began = Instant::now();
+            (b.recv(1, deadline), began.elapsed())
+        };
+        std::thread::scope(|s| {
+            // A delivery of the current epoch wakes it.
+            let waiter = s.spawn(timed_recv);
+            await_mail(&b, |m| m.waiters == 1);
+            assert!(matches!(
+                a.send(0, &env(0, 1, 0, 1), 1 << 20),
+                SendOutcome::Acked(_)
+            ));
+            a.flush();
+            let (got, took) = waiter.join().unwrap();
+            assert!(matches!(got, RecvOutcome::Delivered(e, _) if e.payload == 1));
+            assert!(took < Duration::from_secs(2), "woken after {took:?}");
+            // A buffered future-epoch frame becomes current through another
+            // thread's `set_epoch`, which wakes it.
+            a.set_epoch(2);
+            assert!(matches!(
+                a.send(0, &env(0, 1, 0, 2), 1 << 20),
+                SendOutcome::Acked(_)
+            ));
+            a.flush();
+            await_mail(&b, |m| m.queue.len() == 1);
+            let waiter = s.spawn(timed_recv);
+            await_mail(&b, |m| m.waiters == 1);
+            b.set_epoch(2);
+            let (got, took) = waiter.join().unwrap();
+            assert!(matches!(got, RecvOutcome::Delivered(e, _) if e.payload == 2));
+            assert!(took < Duration::from_secs(2), "woken after {took:?}");
+        });
     }
 
     #[test]
@@ -687,6 +838,7 @@ mod tests {
             a.send(0, &env(0, 1, 0, 9), 1 << 20),
             SendOutcome::Acked(_)
         ));
+        a.flush();
         // Receiver is still at epoch 4: nothing deliverable.
         assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
         // Catch up: the buffered frame becomes visible.
@@ -707,6 +859,7 @@ mod tests {
             a.send(0, &env(0, 1, 0, 1), 1 << 20),
             SendOutcome::Acked(_)
         ));
+        a.flush();
         assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
         // Dedup: the same (epoch, src, seq) delivered once despite a
         // retransmission.
@@ -715,6 +868,7 @@ mod tests {
         assert!(matches!(a.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
         e.attempt = 1;
         assert!(matches!(a.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
+        a.flush();
         assert!(matches!(b.recv(1, 1 << 20), RecvOutcome::Delivered(_, _)));
         assert_eq!(b.recv(1, 1), RecvOutcome::TimedOut);
     }
@@ -743,6 +897,7 @@ mod tests {
             a.send(0, &env(0, 1, 0, 5), 1 << 20),
             SendOutcome::Acked(_)
         ));
+        a.flush();
         assert!(matches!(b.recv(1, 1 << 20), RecvOutcome::Delivered(_, _)));
         // "Restart" node 1 on a fresh port: the old listener dies with it.
         let b_addr_old = b.local_addr();
@@ -757,6 +912,7 @@ mod tests {
         let mut clock: VTime = 0;
         let sent = robust_send(&a, &policy(1 << 14, 4), 0xABCD, &mut clock, env(0, 1, 1, 6));
         assert!(sent.is_ok(), "reconnect failed: {sent:?}");
+        a.flush();
         let RecvOutcome::Delivered(e, _) = b2.recv(1, 1 << 20) else {
             panic!("expected delivery on rebound listener");
         };
@@ -819,6 +975,7 @@ mod tests {
                 SendOutcome::Acked(_)
             ));
         }
+        a.flush();
         // First connection: HELLO + three frames, then the peer hangs up
         // without acking any of them.
         let mut c1 = accept(&fake);
@@ -829,27 +986,31 @@ mod tests {
             first.push(f);
         }
         drop(c1);
-        // Sends keep entering the window until a write fails on the dead
-        // connection; the retry then redials the same address.
-        let policy = policy(1 << 12, 3);
-        let mut clock: VTime = 0;
+        // Sends keep entering the window, and flushes writing them, until a
+        // write fails on the dead connection and drops it.
         let mut seq = 3;
-        loop {
-            let attempts = robust_send(&a, &policy, 7, &mut clock, env(0, 1, seq, 10 + seq as u64))
-                .expect("the fake peer's backlog takes the redial");
-            if attempts > 1 {
-                break;
-            }
-            seq += 1;
+        while connected(&a, 1) {
             assert!(
                 seq < WINDOW as u32,
                 "the dead connection never failed a write"
             );
+            assert!(matches!(
+                a.send(0, &env(0, 1, seq, 10 + seq as u64), 1 << 20),
+                SendOutcome::Acked(_)
+            ));
+            a.flush();
+            seq += 1;
             // Give the peer's reset time to land.
             std::thread::sleep(Duration::from_millis(1));
         }
+        // So the next send redials the same address on its first attempt.
+        let policy = policy(1 << 12, 3);
+        let mut clock: VTime = 0;
+        let attempts = robust_send(&a, &policy, 7, &mut clock, env(0, 1, seq, 10 + seq as u64));
+        assert_eq!(attempts, Ok(1), "the fake peer's backlog takes the redial");
+        a.flush();
         // Second connection: HELLO, every unacked frame in order, then the
-        // frame whose first attempt failed, as its retransmission.
+        // new frame at attempt 0.
         let mut c2 = accept(&fake);
         let hello = raw_frame(&mut c2);
         assert_eq!(hello, first[0]);
@@ -860,7 +1021,7 @@ mod tests {
             second.push(f);
         }
         let last = raw_frame(&mut c2);
-        assert_eq!(data_ids(&last), (seq, 1));
+        assert_eq!(data_ids(&last), (seq, 0));
         second.push(last);
         // A real receiver fed both connections' bytes delivers each
         // (epoch, src, seq) once, in order. The streams stay open until the
@@ -899,6 +1060,8 @@ mod tests {
                 assert!(matches!(t.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
             }
         }
+        a.flush();
+        c.flush();
         for epoch in 2..2 + EPOCHS {
             b.set_epoch(epoch);
             let mut srcs = Vec::new();
@@ -925,6 +1088,7 @@ mod tests {
         let send = |seq: u32| {
             let got = a.send(0, &env(0, 1, seq, 0), 1 << 20);
             assert!(matches!(got, SendOutcome::Acked(_)));
+            a.flush();
         };
         a.set_peer(1, addr);
         send(0);
@@ -1045,6 +1209,7 @@ mod tests {
             a.send(0, &env(0, 1, 0, 42), 1 << 20),
             SendOutcome::Acked(_)
         ));
+        a.flush();
         let RecvOutcome::Delivered(e, _) = b.recv(1, 1 << 20) else {
             panic!("expected delivery from a well-formed peer");
         };
