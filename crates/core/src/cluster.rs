@@ -145,7 +145,8 @@ impl RoundProgram for AnyProgram {
 }
 
 /// Thin error-reporting wrapper around [`SplitWhitespace`]. Shared with the
-/// serving layer's journal/instance decoding in [`crate::service`].
+/// serving layer's journal replay in [`crate::service`], which reads each
+/// line's kind and numbers with it.
 pub(crate) struct Tokens<'a> {
     it: SplitWhitespace<'a>,
 }
@@ -191,11 +192,6 @@ impl<'a> Tokens<'a> {
             ));
         }
         Ok(n)
-    }
-
-    pub(crate) fn hex_u64(&mut self) -> Result<u64, String> {
-        let t = self.expect()?;
-        u64::from_str_radix(t, 16).map_err(|_| format!("bad hex token {t:?}"))
     }
 
     pub(crate) fn f64_bits(&mut self) -> Result<f64, String> {

@@ -20,7 +20,10 @@
 //!   its Wilson interval over the trials actually sampled, freeing the
 //!   worker for the next job.
 //! * **Crash-safe jobs** — with a journal configured, admitted jobs and
-//!   completed full blocks are appended to an append-only line journal.
+//!   completed full blocks are appended to an append-only line journal: a
+//!   `job <id> <json>` line holds the job in the JSON the API takes
+//!   ([`JobSpec::to_json`]), and a `blk <job> <block> <accepts>` line names
+//!   its job, whose line holds the instance and the seed.
 //!   [`Service::start`] replays it: finished jobs stay queryable, unfinished
 //!   jobs re-enqueue, and journaled blocks seed the block memo so resumed
 //!   work is **bit-identical** to an uninterrupted run (the block
@@ -37,8 +40,9 @@
 //!   `(instance, seed)` are merged at block granularity through an
 //!   in-memory memo (bounded, FIFO-evicted): a block sampled for one job is
 //!   reused by every other job that needs it, attributably, because the
-//!   count is deterministic. Compiled round plans are likewise cached and
-//!   shared per instance key.
+//!   count is deterministic. Compiled round plans are likewise cached
+//!   (bounded, FIFO-evicted) and shared per instance. Both are keyed by the
+//!   [`InstanceSpec`] value itself, so two instances never share an entry.
 //! * **Panic containment** — a worker panic (including the chaos-injected
 //!   ones the battery uses) fails only that job, with
 //!   [`JobStatus::Failed`]; the worker thread survives and serves the next
@@ -50,8 +54,10 @@
 //! [`json`] submodule is the workspace's dependency-free JSON parser
 //! (re-exported by `dqma_bench` for the bench-trajectory tooling).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
+use std::hash::Hash;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -83,7 +89,7 @@ pub mod json;
 /// A named cheating-prover strategy for the path-shaped protocols (see
 /// [`ChainCheat`]). With equal inputs every strategy degenerates to the
 /// honest proof, so "honest completeness" is just `x == y` plus any cheat.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CheatSpec {
     /// Interpolate fingerprints along the chain (the soundness-saturating
     /// strategy).
@@ -123,14 +129,15 @@ impl CheatSpec {
 
 /// A fully-described verification instance: which protocol, on which
 /// inputs, against which prover. The spec is the service's unit of
-/// identity — [`InstanceSpec::key`] keys the compiled-plan cache and the
-/// shared block memo, and [`InstanceSpec::encode`] is the canonical journal
-/// form.
+/// identity: the compiled-plan cache and the shared block memo are keyed by
+/// the spec value and compare it by equality, and its JSON form
+/// ([`InstanceSpec::to_json`]) is what both the HTTP API and the journal
+/// carry.
 ///
 /// Inputs are `bits`-bit strings carried as integers (`bits ≤ 16`, ample
 /// for the fingerprint schemes the small exact simulator can hold); the
 /// JSON wire form writes them as `"0101…"` strings.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum InstanceSpec {
     /// The improved EQ protocol `Pπ[k]` on a path of length `r` (§3.2).
     EqPath {
@@ -265,89 +272,8 @@ impl InstanceSpec {
         }
     }
 
-    /// Serialises the spec to its single-line token form (the journal and
-    /// canonical-identity encoding). Inverse of [`InstanceSpec::decode`].
-    pub fn encode(&self) -> String {
-        match *self {
-            InstanceSpec::EqPath {
-                r,
-                bits,
-                x,
-                y,
-                scheme_seed,
-                reps,
-                cheat,
-            } => format!(
-                "eq_path {r} {bits} {x:x} {y:x} {scheme_seed} {reps} {}",
-                cheat.as_str()
-            ),
-            InstanceSpec::Relay {
-                r,
-                bits,
-                x,
-                y,
-                seed,
-                cheat,
-            } => format!("relay {r} {bits} {x:x} {y:x} {seed} {}", cheat.as_str()),
-            InstanceSpec::EqTree {
-                arms,
-                arm_len,
-                bits,
-                x,
-                y,
-                scheme_seed,
-                reps,
-            } => format!("eq_tree {arms} {arm_len} {bits} {x:x} {y:x} {scheme_seed} {reps}"),
-        }
-    }
-
-    /// Parses the token form produced by [`InstanceSpec::encode`]. Every
-    /// malformed input yields a structured error, never a panic.
-    pub fn decode(line: &str) -> Result<InstanceSpec, String> {
-        let mut tok = Tokens::new(line);
-        let spec = Self::decode_tokens(&mut tok)?;
-        if tok.next_str().is_some() {
-            return Err("trailing tokens after instance spec".to_string());
-        }
-        Ok(spec)
-    }
-
-    pub(crate) fn decode_tokens(tok: &mut Tokens<'_>) -> Result<InstanceSpec, String> {
-        let spec = match tok.expect()? {
-            "eq_path" => InstanceSpec::EqPath {
-                r: tok.usize()?,
-                bits: tok.usize()?,
-                x: tok.hex_u64()?,
-                y: tok.hex_u64()?,
-                scheme_seed: tok.u64()?,
-                reps: tok.usize()?,
-                cheat: CheatSpec::from_str(tok.expect()?)?,
-            },
-            "relay" => InstanceSpec::Relay {
-                r: tok.usize()?,
-                bits: tok.usize()?,
-                x: tok.hex_u64()?,
-                y: tok.hex_u64()?,
-                seed: tok.u64()?,
-                cheat: CheatSpec::from_str(tok.expect()?)?,
-            },
-            "eq_tree" => InstanceSpec::EqTree {
-                arms: tok.usize()?,
-                arm_len: tok.usize()?,
-                bits: tok.usize()?,
-                x: tok.hex_u64()?,
-                y: tok.hex_u64()?,
-                scheme_seed: tok.u64()?,
-                reps: tok.usize()?,
-            },
-            t => return Err(format!("unknown protocol {t:?}")),
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Builds the spec from its JSON wire form (the `"instance"` object of
-    /// a submit request; see [`InstanceSpec::to_json`]).
+    /// a submit request or a journaled job; see [`InstanceSpec::to_json`]).
     pub fn from_json(v: &json::Parsed) -> Result<InstanceSpec, String> {
         let proto = v
             .get("protocol")
@@ -458,11 +384,12 @@ impl InstanceSpec {
         }
     }
 
-    /// The spec's identity hash (FNV-1a over the canonical encoding) —
-    /// keys the plan cache, the block memo, and the journal's `blk` lines.
+    /// A 64-bit FNV-1a hash of the spec's JSON form, for callers that want
+    /// a compact local map key. The service itself never keys by it: its
+    /// plan cache and block memo compare specs by equality.
     pub fn key(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.encode().bytes() {
+        for b in self.to_json().bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -556,7 +483,7 @@ fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
 }
 
 /// A compiled, protocol-agnostic round plan — the sampling unit the
-/// service caches and shares per [`InstanceSpec::key`].
+/// service caches and shares per [`InstanceSpec`].
 #[derive(Clone, Debug)]
 pub enum CompiledPlan {
     /// A path-protocol plan.
@@ -614,54 +541,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Journal token form: `<seed> <trials> <deadline_ms|-> <panic_block|->
-    /// <instance…>`.
-    pub fn encode(&self) -> String {
-        let dl = self
-            .deadline_ms
-            .map_or_else(|| "-".to_string(), |d| d.to_string());
-        let chaos = match self.chaos {
-            Some(ChaosSpec::PanicAtBlock(b)) => b.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{} {} {dl} {chaos} {}",
-            self.seed,
-            self.trials,
-            self.instance.encode()
-        )
-    }
-
-    /// Parses the token form produced by [`JobSpec::encode`].
-    pub fn decode(line: &str) -> Result<JobSpec, String> {
-        let mut tok = Tokens::new(line);
-        let seed = tok.u64()?;
-        let trials = tok.u64()?;
-        let opt = |t: &str| -> Result<Option<u64>, String> {
-            if t == "-" {
-                Ok(None)
-            } else {
-                t.parse().map(Some).map_err(|_| format!("bad token {t:?}"))
-            }
-        };
-        let deadline_ms = opt(tok.expect()?)?;
-        let chaos = opt(tok.expect()?)?.map(ChaosSpec::PanicAtBlock);
-        let instance = InstanceSpec::decode_tokens(&mut tok)?;
-        if tok.next_str().is_some() {
-            return Err("trailing tokens after job spec".to_string());
-        }
-        Ok(JobSpec {
-            instance,
-            trials,
-            seed,
-            deadline_ms,
-            chaos,
-        })
-    }
-
-    /// Builds the spec from the JSON body of a `POST /v1/jobs` request:
-    /// `{"instance": {…}, "trials": n, "seed": s, "deadline_ms": d?,
-    /// "chaos_panic_block": b?}`.
+    /// Builds the spec from the JSON body of a `POST /v1/jobs` request or
+    /// of a journal `job` line: `{"instance": {…}, "trials": n, "seed": s,
+    /// "deadline_ms": d?, "chaos_panic_block": b?}`.
     pub fn from_json(v: &json::Parsed) -> Result<JobSpec, String> {
         let instance = InstanceSpec::from_json(v.get("instance").ok_or("missing \"instance\"")?)?;
         let trials = get_u64(v, "trials")?;
@@ -677,7 +559,8 @@ impl JobSpec {
         })
     }
 
-    /// Serialises the spec to the submit-request JSON body.
+    /// Serialises the spec to the submit-request JSON body, which is also
+    /// its journal form. Inverse of [`JobSpec::from_json`].
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"instance\":{},\"trials\":{},\"seed\":{}",
@@ -885,6 +768,14 @@ impl Stats {
 /// service runs.
 const RETAINED_JOBS: usize = 4096;
 
+/// Compiled plans kept, evicted oldest first: each distinct spec a client
+/// sends pins one (an r = 256 path plan holds about 145 KiB) until then.
+const PLAN_CAPACITY: usize = 256;
+
+/// A block-memo key: instance, seed, block. The instance `Arc` is shared
+/// per instance, so a key stays three words however large the spec.
+type MemoKey = (Arc<InstanceSpec>, u64, u64);
+
 struct Job {
     spec: JobSpec,
     submitted: Instant,
@@ -897,9 +788,11 @@ struct State {
     jobs: BTreeMap<JobId, Job>,
     /// Terminal job ids in completion order, oldest first.
     finished: VecDeque<JobId>,
-    plans: HashMap<u64, Arc<CompiledPlan>>,
-    memo: HashMap<(u64, u64, u64), u64>,
-    memo_order: VecDeque<(u64, u64, u64)>,
+    plans: HashMap<Arc<InstanceSpec>, Arc<CompiledPlan>>,
+    /// Cached instances in insertion order, oldest first.
+    plan_order: VecDeque<Arc<InstanceSpec>>,
+    memo: HashMap<MemoKey, u64>,
+    memo_order: VecDeque<MemoKey>,
     next_id: JobId,
     shutdown: bool,
 }
@@ -923,6 +816,31 @@ impl State {
             }
         }
     }
+
+    /// Memoises a full block's accept count, evicting the oldest blocks
+    /// beyond `cap`. Workers and journal replay both insert through here.
+    fn memo_insert(&mut self, cap: usize, key: MemoKey, accepts: u64) {
+        insert_bounded(&mut self.memo, &mut self.memo_order, cap, key, accepts);
+    }
+}
+
+/// Inserts `key → value` unless `key` is present, then drops the oldest
+/// keys in `order` until `map` holds at most `cap`.
+fn insert_bounded<K: Hash + Eq + Clone, V>(
+    map: &mut HashMap<K, V>,
+    order: &mut VecDeque<K>,
+    cap: usize,
+    key: K,
+    value: V,
+) {
+    if let Entry::Vacant(slot) = map.entry(key.clone()) {
+        slot.insert(value);
+        order.push_back(key);
+        while map.len() > cap {
+            let Some(old) = order.pop_front() else { break };
+            map.remove(&old);
+        }
+    }
 }
 
 struct Shared {
@@ -941,26 +859,14 @@ impl Shared {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn journal_line(&self, line: &str) {
+    /// Appends `line` and its newline to the journal in one `write`.
+    fn journal_line(&self, mut line: String) {
+        line.push('\n');
         let mut j = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(f) = j.as_mut() {
             // Best-effort: journal write failures must not take down
             // serving (the journal degrades, recovery just resamples).
-            let _ = writeln!(f, "{line}");
-            let _ = f.flush();
-        }
-    }
-
-    fn memo_insert(&self, st: &mut State, key: (u64, u64, u64), accepts: u64) {
-        if st.memo.insert(key, accepts).is_none() {
-            st.memo_order.push_back(key);
-            while st.memo.len() > self.cfg.memo_capacity {
-                if let Some(old) = st.memo_order.pop_front() {
-                    st.memo.remove(&old);
-                } else {
-                    break;
-                }
-            }
+            let _ = f.write_all(line.as_bytes());
         }
     }
 }
@@ -996,11 +902,10 @@ impl Service {
                 f.seek(SeekFrom::End(-1))?;
                 f.read_exact(&mut last)?;
                 if last[0] != b'\n' {
-                    writeln!(f)?;
+                    f.write_all(b"\n")?;
                 }
             }
-            writeln!(f, "hdr {BLOCK_CONTRACT}")?;
-            f.flush()?;
+            f.write_all(format!("hdr {BLOCK_CONTRACT}\n").as_bytes())?;
             journal_file = Some(f);
         }
         let shared = Arc::new(Shared {
@@ -1028,7 +933,13 @@ impl Service {
     /// caller can poll to a terminal state or an explicit refusal —
     /// never a silent drop.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        spec.instance.validate().map_err(SubmitError::Invalid)?;
+        // The journal holds the job as JSON, so admit only a job that reads
+        // back from it: its instance is within the caps, and every integer
+        // is below 2^53, where JSON numbers stop being exact.
+        let line = spec.to_json();
+        json::parse(&line)
+            .and_then(|v| JobSpec::from_json(&v))
+            .map_err(SubmitError::Invalid)?;
         if spec.trials == 0 || spec.trials > self.shared.cfg.max_trials {
             return Err(SubmitError::Invalid(format!(
                 "trials {} outside 1..={}",
@@ -1049,8 +960,7 @@ impl Service {
         }
         let id = st.next_id;
         st.next_id += 1;
-        self.shared
-            .journal_line(&format!("job {id} {}", spec.encode()));
+        self.shared.journal_line(format!("job {id} {line}"));
         st.jobs.insert(
             id,
             Job {
@@ -1141,8 +1051,13 @@ impl Drop for Service {
 /// not UTF-8 included: recovery prefers resampling over refusing to start,
 /// and one bad line must not hide the records after it. An I/O error ends
 /// replay. A `blk` line is replayed only when the nearest `hdr` line before
-/// it names the current [`BLOCK_CONTRACT`]; otherwise it is counted as
-/// refused.
+/// it names the current [`BLOCK_CONTRACT`] (otherwise it is counted as
+/// refused) and its job was replayed.
+///
+/// A journal of the older token form replays no job and no block: its `job`
+/// lines are not JSON, its `blk` lines have four fields, not three, and its
+/// `done`/`fail` lines name only its own jobs. Every `job` line still
+/// reserves its id, parsed or not, so ids stay unique.
 fn recover(
     st: &mut State,
     stats: &Stats,
@@ -1152,6 +1067,8 @@ fn recover(
     let reader = BufReader::new(File::open(path)?);
     let mut trusted = false;
     let mut replayed = 0u64;
+    // One `Arc` per replayed instance, shared by its memo keys.
+    let mut instances: HashSet<Arc<InstanceSpec>> = HashSet::new();
     for bytes in reader.split(b'\n') {
         let Ok(bytes) = bytes else { break };
         let Ok(line) = std::str::from_utf8(&bytes) else {
@@ -1163,14 +1080,14 @@ fn recover(
             Some("hdr") => trusted = tok.u64() == Ok(BLOCK_CONTRACT),
             Some("job") => {
                 let Ok(id) = tok.u64() else { continue };
+                st.next_id = st.next_id.max(id.saturating_add(1));
                 let rest = line
                     .splitn(3, char::is_whitespace)
                     .nth(2)
                     .unwrap_or_default();
-                let Ok(spec) = JobSpec::decode(rest) else {
+                let Ok(spec) = json::parse(rest).and_then(|v| JobSpec::from_json(&v)) else {
                     continue;
                 };
-                st.next_id = st.next_id.max(id + 1);
                 let job = Job {
                     spec,
                     submitted: Instant::now(),
@@ -1181,8 +1098,8 @@ fn recover(
                 }
             }
             Some("blk") => {
-                let (Ok(key), Ok(seed), Ok(block), Ok(accepts)) =
-                    (tok.hex_u64(), tok.u64(), tok.u64(), tok.u64())
+                let (Ok(id), Ok(block), Ok(accepts), None) =
+                    (tok.u64(), tok.u64(), tok.u64(), tok.next_str())
                 else {
                     continue;
                 };
@@ -1190,15 +1107,14 @@ fn recover(
                     stats.refused_blocks.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let k = (key, seed, block);
-                if st.memo.insert(k, accepts).is_none() {
-                    st.memo_order.push_back(k);
-                    while st.memo.len() > memo_cap {
-                        if let Some(old) = st.memo_order.pop_front() {
-                            st.memo.remove(&old);
-                        }
-                    }
-                }
+                let Some(job) = st.jobs.get(&id) else {
+                    continue;
+                };
+                let instance = instances.get(&job.spec.instance).cloned();
+                let instance = instance.unwrap_or_else(|| Arc::new(job.spec.instance.clone()));
+                instances.insert(Arc::clone(&instance));
+                let key = (instance, job.spec.seed, block);
+                st.memo_insert(memo_cap, key, accepts);
             }
             Some("done") => {
                 let (Ok(id), Ok(completed), Ok(accepts), Ok(partial), Ok(elapsed_ms)) =
@@ -1271,7 +1187,7 @@ fn worker_loop(shared: &Shared) {
             let mut st = shared.lock();
             let status = match result {
                 Ok(report) => {
-                    shared.journal_line(&format!(
+                    shared.journal_line(format!(
                         "done {id} {} {} {} {}",
                         report.completed,
                         report.accepts,
@@ -1282,7 +1198,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 Err(panic) => {
                     let msg = panic_message(panic.as_ref());
-                    shared.journal_line(&format!("fail {id} {msg}"));
+                    shared.journal_line(format!("fail {id} {msg}"));
                     JobStatus::Failed(msg)
                 }
             };
@@ -1302,23 +1218,23 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn run_job(shared: &Shared, id: JobId, spec: &JobSpec, submitted: Instant) -> JobReport {
-    let key = spec.instance.key();
-    let plan = {
-        let cached = shared.lock().plans.get(&key).cloned();
-        match cached {
-            Some(p) => p,
-            None => {
-                // Compile outside the lock (scheme construction can be the
-                // expensive part), then publish; a racing worker's copy
-                // wins or loses harmlessly.
-                let p = Arc::new(spec.instance.compile());
-                shared
-                    .lock()
-                    .plans
-                    .entry(key)
-                    .or_insert_with(|| Arc::clone(&p));
-                p
-            }
+    let cached = shared
+        .lock()
+        .plans
+        .get_key_value(&spec.instance)
+        .map(|(i, p)| (Arc::clone(i), Arc::clone(p)));
+    let (instance, plan) = match cached {
+        Some(hit) => hit,
+        None => {
+            // Compile outside the lock (scheme construction can be the
+            // expensive part), then publish; a racing worker's copy
+            // wins or loses harmlessly.
+            let instance = Arc::new(spec.instance.clone());
+            let plan = Arc::new(spec.instance.compile());
+            let st = &mut *shared.lock();
+            let (i, p) = (Arc::clone(&instance), Arc::clone(&plan));
+            insert_bounded(&mut st.plans, &mut st.plan_order, PLAN_CAPACITY, i, p);
+            (instance, plan)
         }
     };
     let deadline = spec
@@ -1330,13 +1246,14 @@ fn run_job(shared: &Shared, id: JobId, spec: &JobSpec, submitted: Instant) -> Jo
         _ => None,
     };
     let seed = spec.seed;
+    let key = |b| (Arc::clone(&instance), seed, b);
     let report = run_trials_observed(
         plan.as_ref(),
         spec.trials,
         seed,
         deadline,
         &mut |b| {
-            let hit = shared.lock().memo.get(&(key, seed, b)).copied();
+            let hit = shared.lock().memo.get(&key(b)).copied();
             if hit.is_some() {
                 shared.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -1351,8 +1268,8 @@ fn run_job(shared: &Shared, id: JobId, spec: &JobSpec, submitted: Instant) -> Jo
                 // tail block's length depends on the job's trial budget,
                 // so it is recomputed (deterministically) instead.
                 let mut st = shared.lock();
-                shared.memo_insert(&mut st, (key, seed, b), accepts);
-                shared.journal_line(&format!("blk {key:016x} {seed} {b} {accepts}"));
+                st.memo_insert(shared.cfg.memo_capacity, key(b), accepts);
+                shared.journal_line(format!("blk {id} {b} {accepts}"));
             }
             let mut st = shared.lock();
             if let Some(Job {
@@ -1568,20 +1485,16 @@ mod tests {
     use crate::trials::run_trials_with_workers;
 
     fn eq_path_spec() -> InstanceSpec {
-        InstanceSpec::EqPath {
-            r: 8,
-            bits: 6,
-            x: 0b101101,
-            y: 0b101101,
-            scheme_seed: 11,
-            reps: 2,
-            cheat: CheatSpec::Interpolate,
-        }
+        eq_path(8, 6, 0b101101, 2)
     }
 
     fn small_job(trials: u64, seed: u64) -> JobSpec {
+        job(eq_path_spec(), trials, seed)
+    }
+
+    fn job(instance: InstanceSpec, trials: u64, seed: u64) -> JobSpec {
         JobSpec {
-            instance: eq_path_spec(),
+            instance,
             trials,
             seed,
             deadline_ms: None,
@@ -1590,7 +1503,7 @@ mod tests {
     }
 
     #[test]
-    fn instance_specs_roundtrip_through_tokens_and_json() {
+    fn instance_specs_roundtrip_through_json() {
         let specs = [
             eq_path_spec(),
             InstanceSpec::Relay {
@@ -1612,14 +1525,8 @@ mod tests {
             },
         ];
         for spec in specs {
-            assert_eq!(InstanceSpec::decode(&spec.encode()).unwrap(), spec);
             let parsed = json::parse(&spec.to_json()).unwrap();
             assert_eq!(InstanceSpec::from_json(&parsed).unwrap(), spec);
-            // The identity key is a pure function of the canonical form.
-            assert_eq!(
-                spec.key(),
-                InstanceSpec::decode(&spec.encode()).unwrap().key()
-            );
         }
     }
 
@@ -1632,22 +1539,14 @@ mod tests {
             deadline_ms: Some(250),
             chaos: Some(ChaosSpec::PanicAtBlock(3)),
         };
-        assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
-        let parsed = json::parse(&spec.to_json()).unwrap();
+        let line = spec.to_json();
+        let parsed = json::parse(&line).unwrap();
         assert_eq!(JobSpec::from_json(&parsed).unwrap(), spec);
 
-        for bad in [
-            "",
-            "7",
-            "7 100 - -",
-            "7 100 - - eq_path",
-            "7 100 - - eq_path 8 6 2d 2d 11 2",
-            "7 100 - - warp 8 6 2d 2d 11 2 interpolate",
-            "7 100 - - eq_path 8 6 zz 2d 11 2 interpolate",
-            "7 100 x - eq_path 8 6 2d 2d 11 2 interpolate",
-            "7 100 - - eq_path 8 6 2d 2d 11 2 interpolate trailing",
-        ] {
-            assert!(JobSpec::decode(bad).is_err(), "{bad:?} must not decode");
+        // A journal line torn at any byte is no job, never another job.
+        for cut in 0..line.len() {
+            let torn = json::parse(&line[..cut]).and_then(|v| JobSpec::from_json(&v));
+            assert!(torn.is_err(), "{:?} must not parse", &line[..cut]);
         }
     }
 
@@ -1884,22 +1783,21 @@ mod tests {
     /// earlier jobs had already finished: one partial, one failed.
     fn crashed_journal(spec: &JobSpec, header: Option<String>) -> String {
         let plan = spec.instance.compile();
-        let key = spec.instance.key();
-        let earlier = small_job(2 * BLOCK_TRIALS, 5).encode();
+        let earlier = small_job(2 * BLOCK_TRIALS, 5).to_json();
         let mut lines: Vec<String> = header.into_iter().collect();
         lines.extend([
             format!("job 5 {earlier}"),
             format!("done 5 {BLOCK_TRIALS} 100 1 30"),
             format!("job 6 {earlier}"),
             "fail 6 injected panic at block 0".to_string(),
-            format!("job 7 {}", spec.encode()),
+            format!("job 7 {}", spec.to_json()),
         ]);
         for b in 0..3u64 {
             let a = plan.sample_block(BLOCK_TRIALS, &mut (), &BlockRng::new(spec.seed, b));
-            lines.push(format!("blk {key:016x} {} {b} {a}", spec.seed));
+            lines.push(format!("blk 7 {b} {a}"));
         }
         let mut text = lines.join("\n");
-        text.push_str("\nblk 00ff");
+        text.push_str("\nblk 7 3");
         text
     }
 
@@ -2025,7 +1923,7 @@ mod tests {
     fn recovery_keeps_only_the_newest_finished_jobs() {
         let (dir, path) = journal_path("retain");
         let extra = 5;
-        let spec = small_job(1, 3).encode();
+        let spec = small_job(1, 3).to_json();
         // Job 0 never finished: the oldest admission, but live, so it is
         // resumed rather than evicted.
         let mut lines = vec![format!("hdr {BLOCK_CONTRACT}"), format!("job 0 {spec}")];
@@ -2059,7 +1957,7 @@ mod tests {
     #[test]
     fn replay_skips_a_line_that_is_not_utf8() {
         let (dir, path) = journal_path("utf8");
-        let spec = small_job(1, 3).encode();
+        let spec = small_job(1, 3).to_json();
         // A `fail` line torn inside a multi-byte character, then a later
         // admission: the later record must still replay.
         let mut journal = format!("hdr {BLOCK_CONTRACT}\njob 0 {spec}\n").into_bytes();
@@ -2079,6 +1977,172 @@ mod tests {
         assert_eq!(next, 2, "ids continue after the last replayed job");
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_token_form_journal_replays_nothing_and_keeps_its_ids_reserved() {
+        let (dir, path) = journal_path("tokens");
+        // A journal as builds before the JSON journal wrote it: job 3 ran
+        // both its blocks and finished, job 4 was admitted and never ran.
+        let old = "hdr 2\n\
+                   job 3 42 16384 - - eq_path 8 6 2d 2d 11 2 interpolate\n\
+                   blk 5c1f0e3b9a7d2e41 42 0 8192\n\
+                   blk 5c1f0e3b9a7d2e41 42 1 8192\n\
+                   done 3 16384 16384 0 12\n\
+                   job 4 43 8192 250 - relay 9 8 a5 5a 3 all_left\n";
+        std::fs::write(&path, old).unwrap();
+        let cfg = ServiceConfig {
+            journal: Some(path),
+            ..ServiceConfig::default()
+        };
+        let svc = Service::start(cfg.clone()).unwrap();
+        assert_eq!(svc.stats(), StatsSnapshot::default());
+        assert_eq!(
+            (svc.memo_len(), svc.status(3), svc.status(4)),
+            (0, None, None)
+        );
+        // Job 3's instance and seed: its blocks are sampled again.
+        let id = svc.submit(small_job(2 * BLOCK_TRIALS, 42)).unwrap();
+        assert_eq!(id, 5, "ids continue above the old journal's");
+        let done = svc.wait(id, Duration::from_secs(60)).unwrap();
+        assert!(matches!(done, JobStatus::Done(_)), "got {done:?}");
+        assert_eq!(svc.stats().memo_hits, 0);
+        svc.shutdown();
+
+        // The second restart replays the job the first one admitted.
+        let svc = Service::start(cfg).unwrap();
+        let (Some(JobStatus::Done(r)), JobStatus::Done(want)) = (svc.status(id), done) else {
+            panic!("job {id} must replay as done");
+        };
+        assert_eq!((r.completed, r.accepts), (want.completed, want.accepts));
+        let st = svc.stats();
+        assert_eq!((st.submitted, st.completed, st.resumed), (1, 1, 0));
+        assert_eq!(svc.memo_len(), 2, "its two journaled blocks");
+        assert_eq!(svc.submit(small_job(1, 1)).unwrap(), 6);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn admission_refuses_integers_the_json_journal_cannot_carry() {
+        let (dir, path) = journal_path("admission");
+        let cfg = ServiceConfig {
+            allow_chaos: true,
+            journal: Some(path),
+            ..ServiceConfig::default()
+        };
+        let with = |field: &str, v: u64| {
+            let mut spec = small_job(BLOCK_TRIALS, 1);
+            match (field, &mut spec.instance) {
+                ("seed", _) => spec.seed = v,
+                ("scheme_seed", InstanceSpec::EqPath { scheme_seed, .. }) => *scheme_seed = v,
+                ("deadline_ms", _) => spec.deadline_ms = Some(v),
+                _ => spec.chaos = Some(ChaosSpec::PanicAtBlock(v)),
+            }
+            spec
+        };
+        // With its workers stopped the service admits and journals, but
+        // runs nothing: every admitted job is still queued at the restart.
+        let mut svc = Service::start(cfg.clone()).unwrap();
+        svc.stop_and_join();
+        let mut admitted = Vec::new();
+        for field in ["seed", "scheme_seed", "deadline_ms", "chaos_panic_block"] {
+            let refused = svc.submit(with(field, 1 << 53));
+            let named = format!("{field:?}");
+            assert!(
+                matches!(&refused, Err(SubmitError::Invalid(m)) if m.contains(&named)),
+                "{field} at 2^53: {refused:?}"
+            );
+            let spec = with(field, (1 << 53) - 1);
+            admitted.push((field, svc.submit(spec.clone()).unwrap(), spec));
+        }
+        drop(svc);
+
+        let svc = Service::start(cfg).unwrap();
+        assert_eq!(svc.stats().resumed, 4);
+        for (field, id, spec) in admitted {
+            let reference =
+                run_trials_with_workers(&spec.instance.compile(), spec.trials, spec.seed, 1);
+            let status = svc.wait(id, Duration::from_secs(60)).unwrap();
+            let JobStatus::Done(r) = status else {
+                panic!("{field}: job {id} must resume and finish, got {status:?}");
+            };
+            assert_eq!(r.accepts, reference.accepts, "{field}");
+        }
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plan_cache_holds_at_most_its_bound_oldest_evicted_first() {
+        let n = PLAN_CAPACITY as u64 + 8;
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            queue_capacity: n as usize,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let spec = |i: u64| job(eq_path(2 + i as usize / 64, 6, i % 64, 1), 1, 0);
+        let ids: Vec<JobId> = (0..n).map(|i| svc.submit(spec(i)).unwrap()).collect();
+        let last = svc.wait(ids[ids.len() - 1], Duration::from_secs(120));
+        assert!(matches!(last, Some(JobStatus::Done(_))), "got {last:?}");
+        let st = svc.shared.lock();
+        assert_eq!(
+            (st.plans.len(), st.plan_order.len()),
+            (PLAN_CAPACITY, PLAN_CAPACITY)
+        );
+        assert!(!st.plans.contains_key(&spec(0).instance), "oldest evicted");
+        assert!(st.plans.contains_key(&spec(n - 1).instance), "newest kept");
+        drop(st);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn the_memo_never_serves_one_instance_the_blocks_of_another() {
+        let svc = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // Cheating instances, so their accept counts differ. Rows that
+        // differ in one field (scheme seed, cheat, r, arms) share the rest.
+        let path = r#""protocol":"eq_path","bits":6,"x":"101101","y":"100101","reps":1"#;
+        let relay = r#""protocol":"relay","bits":6,"x":"101101","y":"011011""#;
+        let tree = r#""protocol":"eq_tree","bits":4,"x":"1001","y":"0110","reps":1"#;
+        let instances: Vec<InstanceSpec> = [
+            format!(r#"{path},"r":4,"scheme_seed":3"#),
+            format!(r#"{path},"r":4,"scheme_seed":4"#),
+            format!(r#"{path},"r":4,"scheme_seed":3,"cheat":"all_left""#),
+            format!(r#"{path},"r":8,"scheme_seed":3"#),
+            format!(r#"{relay},"r":9,"scheme_seed":3"#),
+            format!(r#"{relay},"r":12,"scheme_seed":3"#),
+            format!(r#"{relay},"r":9,"scheme_seed":3,"cheat":"all_right""#),
+            format!(r#"{tree},"arms":3,"arm_len":1,"scheme_seed":5"#),
+            format!(r#"{tree},"arms":3,"arm_len":2,"scheme_seed":5"#),
+            format!(r#"{tree},"arms":4,"arm_len":1,"scheme_seed":5"#),
+        ]
+        .iter()
+        .map(|f| InstanceSpec::from_json(&json::parse(&format!("{{{f}}}")).unwrap()).unwrap())
+        .collect();
+        let (seed, trials) = (2024, 2 * BLOCK_TRIALS);
+        let references: Vec<u64> = instances
+            .iter()
+            .map(|i| run_trials_with_workers(&i.compile(), trials, seed, 1).accepts)
+            .collect();
+        for pass in 0..2u64 {
+            for (instance, &want) in instances.iter().zip(&references) {
+                let id = svc.submit(job(instance.clone(), trials, seed)).unwrap();
+                let status = svc.wait(id, Duration::from_secs(60)).unwrap();
+                let JobStatus::Done(r) = status else {
+                    panic!("pass {pass}: {instance:?} must finish, got {status:?}");
+                };
+                assert_eq!(r.accepts, want, "pass {pass}: {instance:?}");
+            }
+            // The first pass samples every block, the second reads them all.
+            let blocks = 2 * instances.len() as u64;
+            assert_eq!(svc.stats().memo_hits, pass * blocks, "pass {pass}");
+        }
+        svc.shutdown();
     }
 
     #[test]

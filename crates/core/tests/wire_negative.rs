@@ -1,14 +1,15 @@
 //! Negative battery for every wire decoder a hostile or corrupted peer can
 //! reach: [`dqma::cluster::ProgramSpec`] (the `program` control line),
 //! [`dqma::cluster::NodeConfig`] (the node argv), and the service specs
-//! ([`dqma::service::InstanceSpec`] / [`dqma::service::JobSpec`], the
-//! journal and HTTP wire forms).
+//! ([`dqma::service::InstanceSpec`] / [`dqma::service::JobSpec`], whose one
+//! JSON form is both the HTTP body and the journal's `job` line).
 //!
 //! The contract under test is uniform: **every** malformed frame —
 //! truncated at any token boundary, corrupted at any token, or carrying an
-//! oversized count — must come back as a structured `Err`, never a panic
-//! and never an attacker-sized allocation. The tests are table-driven over
-//! real encodings, so they track the codecs as they grow.
+//! oversized count or an out-of-cap parameter — must come back as a
+//! structured `Err`, never a panic and never an attacker-sized allocation.
+//! The tests are table-driven over real encodings, so they track the codecs
+//! as they grow.
 
 use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
@@ -17,7 +18,7 @@ use dqma::cluster::{NodeConfig, ProgramSpec};
 use dqma::eq_path::EqPathProtocol;
 use dqma::eq_tree::EqTreeProtocol;
 use dqma::relay::RelayEqProtocol;
-use dqma::service::{InstanceSpec, JobSpec};
+use dqma::service::JobSpec;
 use netsim::topology;
 
 /// One real encoding per program shape, produced by the actual encoders so
@@ -246,45 +247,24 @@ fn node_argv_negatives_are_structured_errors() {
     }
 }
 
-/// The service-layer wire forms obey the same contract: hostile instance
-/// and job encodings (journal lines, HTTP bodies) are structured errors.
+/// The service-layer wire form obeys the same contract: hostile job bodies
+/// (HTTP requests, journal `job` lines) are structured errors.
 #[test]
 fn service_spec_wire_negatives_are_structured_errors() {
-    // Truncation sweep over a canonical instance encoding.
-    let spec = InstanceSpec::EqPath {
-        r: 8,
-        bits: 6,
-        x: 0b101101,
-        y: 0b101101,
-        scheme_seed: 11,
-        reps: 2,
-        cheat: dqma::service::CheatSpec::Interpolate,
-    };
-    let line = spec.encode();
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    for cut in 0..tokens.len() {
-        let prefix = tokens[..cut].join(" ");
-        assert!(
-            InstanceSpec::decode(&prefix).is_err(),
-            "truncated instance {prefix:?} must not decode"
-        );
-    }
-    assert_eq!(InstanceSpec::decode(&line).unwrap(), spec);
-
-    // Out-of-cap parameters are refused at decode time, not at compile
-    // time: the decoder is the admission boundary.
-    for frame in [
-        "eq_path 9999999 6 2d 2d 11 2 interpolate", // r over cap
-        "eq_path 8 64 2d 2d 11 2 interpolate",      // bits over cap
-        "eq_path 8 6 ff 2d 11 2 interpolate",       // x wider than bits
-        "eq_path 8 6 2d 2d 11 999 interpolate",     // reps over cap
-        "eq_tree 99 1 4 9 6 5 2",                   // arms over cap
-        "relay 1 4 b b 3 all_left",                 // r under relay minimum
+    // Out-of-cap parameters are refused at parse time, not at compile
+    // time: the parser is the admission boundary.
+    for instance in [
+        r#""protocol":"eq_path","r":9999999,"bits":6,"x":"101101","y":"101101""#, // r over cap
+        r#""protocol":"eq_path","r":8,"bits":6,"x":"101101","y":"101101","reps":999"#, // reps over cap
+        r#""protocol":"eq_path","r":8,"bits":17,"x":"00000000000000000","y":"00000000000000000""#, // bits over cap
+        r#""protocol":"eq_tree","arms":99,"arm_len":1,"bits":4,"x":"1001","y":"0110""#, // arms over cap
+        r#""protocol":"relay","r":1,"bits":4,"x":"1011","y":"1011""#, // r under relay minimum
     ] {
-        assert!(
-            InstanceSpec::decode(frame).is_err(),
-            "{frame:?} must not decode"
-        );
+        let body = format!(r#"{{"instance":{{{instance}}},"trials":1}}"#);
+        let err = dqma::service::json::parse(&body)
+            .and_then(|p| JobSpec::from_json(&p))
+            .expect_err(&body);
+        assert!(err.contains("outside"), "{body}: unexpected error {err:?}");
     }
 
     // Hostile JSON bodies: structured errors, never panics.

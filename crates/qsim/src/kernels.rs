@@ -692,21 +692,6 @@ fn right_multiply_core(
     }
 }
 
-/// Left-multiplies a matrix by the embedded local operator of `plan` in
-/// place: `M → embed(op) · M`, without materialising `embed(op)`.
-///
-/// `M` has one row per basis state of the plan's register and any number of
-/// columns. Cost `O(rows · cols · block)`.
-///
-/// # Panics
-///
-/// Panics if `mat.rows()` differs from the plan's register dimension or if
-/// the plan carries no operator.
-pub fn left_multiply_matrix_with(mat: &mut CMatrix, plan: &KernelPlan, scratch: &mut PlanScratch) {
-    assert_eq!(mat.rows(), plan.total_dim(), "state dimension mismatch");
-    left_multiply_core(mat, plan.lay(), plan.op_fwd(), &mut scratch.gather);
-}
-
 /// Right-multiplies a matrix by the embedded local operator of `plan` in
 /// place: `M → M · embed(op)`, without materialising `embed(op)`.
 ///

@@ -1,20 +1,22 @@
 //! Command-line client for `dqma-server`.
 //!
 //! ```text
-//! dqma-cli submit <addr> --protocol eq_path --r 8 --bits 6 --x 101101 \
+//! dqma-cli submit <addr> --protocol eq_path --r 8 --x 101101 \
 //!          --y 101101 --trials 100000 [--seed S] [--deadline-ms D] \
-//!          [--reps N] [--cheat interpolate|all_left|all_right] [--wait]
+//!          [--reps N] [--cheat interpolate|all_left|all_right] [--wait] \
+//!          [--scheme-seed S] [--arms A --arm-len L (eq_tree)]
 //! dqma-cli status <addr> <job-id>
 //! dqma-cli health <addr>
 //! ```
 //!
 //! Exit codes: `0` success (with `--wait`: job done), `1` transport or
-//! server error, `2` usage error, `3` (with `--wait`) job aborted.
+//! server error, `2` usage error or an invalid instance, `3` (with
+//! `--wait`) job aborted.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use dqma::service::{client, json, CheatSpec, InstanceSpec, JobSpec};
+use dqma::service::{client, json, InstanceSpec, JobSpec};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -60,10 +62,10 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
 
 fn submit(addr: &str, flags: &[String]) -> Result<ExitCode, String> {
     let mut protocol = "eq_path".to_string();
-    let (mut r, mut arms, mut arm_len) = (8usize, 3usize, 1usize);
+    let (mut r, mut arms, mut arm_len) = (8u64, 3u64, 1u64);
     let (mut x, mut y) = (String::new(), String::new());
-    let (mut scheme_seed, mut reps) = (7u64, 2usize);
-    let mut cheat = CheatSpec::Interpolate;
+    let (mut scheme_seed, mut reps) = (7u64, 2u64);
+    let mut cheat = "interpolate".to_string();
     let (mut trials, mut seed) = (100_000u64, 0u64);
     let mut deadline_ms = None;
     let mut wait = false;
@@ -82,14 +84,7 @@ fn submit(addr: &str, flags: &[String]) -> Result<ExitCode, String> {
             "--y" => y = val("--y")?.clone(),
             "--scheme-seed" => scheme_seed = num(val("--scheme-seed")?)?,
             "--reps" => reps = num(val("--reps")?)?,
-            "--cheat" => {
-                cheat = match val("--cheat")?.as_str() {
-                    "interpolate" => CheatSpec::Interpolate,
-                    "all_left" => CheatSpec::AllLeft,
-                    "all_right" => CheatSpec::AllRight,
-                    other => return Err(format!("unknown cheat {other:?}")),
-                }
-            }
+            "--cheat" => cheat = val("--cheat")?.clone(),
             "--trials" => trials = num(val("--trials")?)?,
             "--seed" => seed = num(val("--seed")?)?,
             "--deadline-ms" => deadline_ms = Some(num(val("--deadline-ms")?)?),
@@ -103,45 +98,23 @@ fn submit(addr: &str, flags: &[String]) -> Result<ExitCode, String> {
     if y.is_empty() {
         y.clone_from(&x);
     }
-    let bits = x.len();
-    if y.len() != bits {
-        return Err("--x and --y must have the same width".to_string());
-    }
-    let parse01 = |s: &str| -> Result<u64, String> {
-        u64::from_str_radix(s, 2).map_err(|_| format!("{s:?} is not a 01-string"))
-    };
-    let (xv, yv) = (parse01(&x)?, parse01(&y)?);
-    let instance = match protocol.as_str() {
-        "eq_path" => InstanceSpec::EqPath {
-            r,
-            bits,
-            x: xv,
-            y: yv,
-            scheme_seed,
-            reps,
-            cheat,
-        },
-        "relay" => InstanceSpec::Relay {
-            r,
-            bits,
-            x: xv,
-            y: yv,
-            seed: scheme_seed,
-            cheat,
-        },
-        "eq_tree" => InstanceSpec::EqTree {
-            arms,
-            arm_len,
-            bits,
-            x: xv,
-            y: yv,
-            scheme_seed,
-            reps,
-        },
-        other => return Err(format!("unknown protocol {other:?}")),
-    };
+    // The instance goes through the API's own parser, which checks the
+    // protocol and cheat names, the input widths and the caps.
+    let n = |v: u64| json::Parsed::Num(v as f64);
+    let instance = json::Parsed::Obj(vec![
+        ("protocol".into(), json::Parsed::Str(protocol)),
+        ("r".into(), n(r)),
+        ("arms".into(), n(arms)),
+        ("arm_len".into(), n(arm_len)),
+        ("bits".into(), n(x.len() as u64)),
+        ("x".into(), json::Parsed::Str(x)),
+        ("y".into(), json::Parsed::Str(y)),
+        ("scheme_seed".into(), n(scheme_seed)),
+        ("reps".into(), n(reps)),
+        ("cheat".into(), json::Parsed::Str(cheat)),
+    ]);
     let spec = JobSpec {
-        instance,
+        instance: InstanceSpec::from_json(&instance)?,
         trials,
         seed,
         deadline_ms,
