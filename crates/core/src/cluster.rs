@@ -60,38 +60,27 @@ use crate::trials::{block_len, BlockOutcomes, BlockRng, BLOCK_TRIALS};
 // Program specs: wire-encodable round programs
 // ---------------------------------------------------------------------------
 
-/// Internal representation of a [`ProgramSpec`]; kept private so the
-/// `pub(crate)` plan/role types never leak through the public enum.
-#[derive(Clone, Debug)]
-enum Repr {
-    Chain {
-        k: usize,
-        mq: u64,
-        tables: Vec<f64>,
-    },
-    Relay {
-        boundaries: Vec<usize>,
-        mq: u64,
-        segments: Vec<Vec<f64>>,
-    },
-    Tree {
-        mq: u64,
-        schedule: Vec<NodeId>,
-        roles: Vec<TreeRole>,
-    },
-}
-
-/// A wire-encodable description of a compiled round program.
+/// A wire-encodable compiled round program: the [`AnyProgram`] it holds.
 ///
-/// The encoding is a single whitespace-tokenised line; every `f64` table
-/// entry ships as its [`f64::to_bits`] value in hex, so
-/// `decode(encode(spec))` instantiates a **bit-exact** copy of the
-/// original program in another process. This is what the supervisor sends
-/// over the control channel (`program <tokens…>`) at launch, after a
-/// restart, and on a [`ChurnEvent::Reprogram`].
+/// The encoding is a single whitespace-tokenised line, and every `f64`
+/// table entry ships as its [`f64::to_bits`] value in hex, so
+/// `decode(encode(spec))` holds a **bit-exact** copy of the original
+/// program in another process. The three forms:
+///
+/// * `chain <k> <tables>`: `4(k+1)` tables;
+/// * `relay <s> <b_0> … <b_s> <tables>`: `s ≥ 1` segments between
+///   boundaries that start at `b_0 = 0` and increase strictly, then
+///   `4(b_{i+1} − b_i)` tables per segment;
+/// * `tree <n> <len> <schedule> <roles>`: `len` schedule node ids, then
+///   `n` roles, each `u` (unused), `l <parent>` (leaf) or
+///   `i <parent|x> <c> <child:shift|child:x …> <p> <probs>` (internal).
+///
+/// This is what the supervisor sends over the control channel
+/// (`program <tokens…>`) at launch, after a restart, and on a
+/// [`ChurnEvent::Reprogram`].
 #[derive(Clone, Debug)]
 pub struct ProgramSpec {
-    repr: Repr,
+    program: AnyProgram,
 }
 
 /// Any of the suite's three per-node program shapes, decoded from a
@@ -120,14 +109,6 @@ impl RoundProgram for AnyProgram {
             AnyProgram::Chain(p) => p.schedule(),
             AnyProgram::Relay(p) => p.schedule(),
             AnyProgram::Tree(p) => p.schedule(),
-        }
-    }
-
-    fn message_qubits(&self) -> u64 {
-        match self {
-            AnyProgram::Chain(p) => p.message_qubits(),
-            AnyProgram::Relay(p) => p.message_qubits(),
-            AnyProgram::Tree(p) => p.message_qubits(),
         }
     }
 
@@ -210,72 +191,58 @@ impl ProgramSpec {
     /// Captures a chain program (EQ-path, orthogonality chain, …).
     pub fn from_chain(p: &ChainNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Chain {
-                k: p.plan.num_intermediate(),
-                mq: p.message_qubits,
-                tables: p.plan.tables().to_vec(),
-            },
+            program: AnyProgram::Chain(p.clone()),
         }
     }
 
     /// Captures a relay-point program with its segment boundaries.
     pub fn from_relay(p: &RelayNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Relay {
-                boundaries: p.boundaries(),
-                mq: p.message_qubits,
-                segments: p.segments.iter().map(|s| s.tables().to_vec()).collect(),
-            },
+            program: AnyProgram::Relay(p.clone()),
         }
     }
 
     /// Captures an EQ-tree program (roles + post-order schedule).
     pub fn from_tree(p: &TreeNetProgram) -> Self {
         ProgramSpec {
-            repr: Repr::Tree {
-                mq: p.message_qubits,
-                schedule: p.schedule().to_vec(),
-                roles: p.roles.clone(),
-            },
+            program: AnyProgram::Tree(p.clone()),
         }
+    }
+
+    /// The program this spec encodes.
+    pub fn program(&self) -> &AnyProgram {
+        &self.program
     }
 
     /// Serialises the spec to its single-line token form.
     pub fn encode(&self) -> String {
-        match &self.repr {
-            Repr::Chain { k, mq, tables } => {
-                let mut out = format!("chain {k} {mq}");
-                for &v in tables {
+        match &self.program {
+            AnyProgram::Chain(p) => {
+                let mut out = format!("chain {}", p.plan.num_intermediate());
+                for &v in p.plan.tables() {
                     push_f64(&mut out, v);
                 }
                 out
             }
-            Repr::Relay {
-                boundaries,
-                mq,
-                segments,
-            } => {
-                let mut out = format!("relay {} {mq}", segments.len());
-                for b in boundaries {
+            AnyProgram::Relay(p) => {
+                let mut out = format!("relay {}", p.segments.len());
+                for b in p.boundaries() {
                     out.push_str(&format!(" {b}"));
                 }
-                for seg in segments {
-                    for &v in seg {
+                for seg in &p.segments {
+                    for &v in seg.tables() {
                         push_f64(&mut out, v);
                     }
                 }
                 out
             }
-            Repr::Tree {
-                mq,
-                schedule,
-                roles,
-            } => {
-                let mut out = format!("tree {} {mq} {}", roles.len(), schedule.len());
+            AnyProgram::Tree(p) => {
+                let schedule = p.schedule();
+                let mut out = format!("tree {} {}", p.roles.len(), schedule.len());
                 for s in schedule {
                     out.push_str(&format!(" {s}"));
                 }
-                for role in roles {
+                for role in &p.roles {
                     match role {
                         TreeRole::Unused => out.push_str(" u"),
                         TreeRole::Leaf { parent } => out.push_str(&format!(" l {parent}")),
@@ -314,21 +281,28 @@ impl ProgramSpec {
     }
 
     fn decode_tokens(tok: &mut Tokens<'_>) -> Result<ProgramSpec, String> {
-        let repr = match tok.expect()? {
+        let program = match tok.expect()? {
             "chain" => {
                 let k = tok.count("chain length")?;
-                let mq = tok.u64()?;
                 let tables = (0..4 * (k + 1))
                     .map(|_| tok.f64_bits())
                     .collect::<Result<Vec<_>, _>>()?;
-                Repr::Chain { k, mq, tables }
+                AnyProgram::Chain(ChainNetProgram::new(ChainRoundPlan::from_tables(tables, k)))
             }
             "relay" => {
                 let nseg = tok.count("relay segment")?;
-                let mq = tok.u64()?;
                 let boundaries = (0..=nseg)
                     .map(|_| tok.usize())
                     .collect::<Result<Vec<_>, _>>()?;
+                if boundaries[0] != 0 {
+                    return Err(format!(
+                        "relay boundaries start at {}, not 0",
+                        boundaries[0]
+                    ));
+                }
+                if nseg == 0 {
+                    return Err("a relay needs at least one segment".to_string());
+                }
                 let mut segments = Vec::with_capacity(nseg);
                 for i in 0..nseg {
                     let ki = boundaries[i + 1]
@@ -339,21 +313,15 @@ impl ProgramSpec {
                             "relay segment length {ki} exceeds wire cap {MAX_WIRE_COUNT}"
                         ));
                     }
-                    segments.push(
-                        (0..4 * (ki + 1))
-                            .map(|_| tok.f64_bits())
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
+                    let tables = (0..4 * (ki + 1))
+                        .map(|_| tok.f64_bits())
+                        .collect::<Result<Vec<_>, _>>()?;
+                    segments.push(ChainRoundPlan::from_tables(tables, ki));
                 }
-                Repr::Relay {
-                    boundaries,
-                    mq,
-                    segments,
-                }
+                AnyProgram::Relay(RelayNetProgram::from_segments(segments, &boundaries))
             }
             "tree" => {
                 let n = tok.count("tree role")?;
-                let mq = tok.u64()?;
                 let slen = tok.count("tree schedule")?;
                 let schedule = (0..slen)
                     .map(|_| tok.usize())
@@ -401,49 +369,11 @@ impl ProgramSpec {
                         t => return Err(format!("bad role token {t:?}")),
                     });
                 }
-                Repr::Tree {
-                    mq,
-                    schedule,
-                    roles,
-                }
+                AnyProgram::Tree(TreeNetProgram::new(roles, schedule))
             }
             t => return Err(format!("unknown program kind {t:?}")),
         };
-        Ok(ProgramSpec { repr })
-    }
-
-    /// Compiles the spec back into a runnable program.
-    pub fn instantiate(&self) -> AnyProgram {
-        match &self.repr {
-            Repr::Chain { k, mq, tables } => AnyProgram::Chain(
-                ChainNetProgram::new(ChainRoundPlan::from_tables(tables.clone(), *k))
-                    .with_message_qubits(*mq),
-            ),
-            Repr::Relay {
-                boundaries,
-                mq,
-                segments,
-            } => {
-                let segs = segments
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        ChainRoundPlan::from_tables(
-                            t.clone(),
-                            boundaries[i + 1] - boundaries[i] - 1,
-                        )
-                    })
-                    .collect();
-                AnyProgram::Relay(
-                    RelayNetProgram::from_segments(segs, boundaries).with_message_qubits(*mq),
-                )
-            }
-            Repr::Tree {
-                mq,
-                schedule,
-                roles,
-            } => AnyProgram::Tree(TreeNetProgram::new(roles.clone(), schedule.clone(), *mq)),
-        }
+        Ok(ProgramSpec { program })
     }
 }
 
@@ -522,7 +452,7 @@ fn other(msg: impl Into<String>) -> io::Error {
 pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
     let ctl = TcpStream::connect(&cfg.ctl_addr)?;
     ctl.set_nodelay(true).ok();
-    let transport = TcpTransport::with_config(
+    let mut transport = TcpTransport::with_config(
         cfg.node,
         TcpConfig {
             nanos_per_vns: cfg.nanos_per_vns,
@@ -548,7 +478,7 @@ pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
         }
     });
 
-    let mut program: Option<AnyProgram> = None;
+    let mut program: Option<ProgramSpec> = None;
     // Control lines read (but not consumed) while a batch was running.
     let mut pending: VecDeque<String> = VecDeque::new();
     loop {
@@ -563,14 +493,10 @@ pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
         let mut tok = Tokens::new(&line);
         match tok.next_str() {
             Some("peers") => {
-                apply_peers(&transport, cfg, &mut tok).map_err(other)?;
+                apply_peers(&mut transport, cfg, &mut tok).map_err(other)?;
             }
             Some("program") => {
-                program = Some(
-                    ProgramSpec::decode_tokens(&mut tok)
-                        .map_err(other)?
-                        .instantiate(),
-                );
+                program = Some(ProgramSpec::decode_tokens(&mut tok).map_err(other)?);
             }
             Some("run") => {
                 let seed = tok.u64().map_err(other)?;
@@ -578,12 +504,12 @@ pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
                 let first = tok.u64().map_err(other)?;
                 let count = tok.u64().map_err(other)?;
                 let base = tok.u64().map_err(other)?;
-                let p = program
+                let spec = program
                     .as_ref()
                     .ok_or_else(|| other("run before program"))?;
                 run_batch(
-                    p,
-                    &transport,
+                    spec.program(),
+                    &mut transport,
                     cfg,
                     &mut ctl_w,
                     &rx,
@@ -612,7 +538,7 @@ pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
 }
 
 fn apply_peers(
-    transport: &TcpTransport,
+    transport: &mut TcpTransport,
     cfg: &NodeConfig,
     tok: &mut Tokens<'_>,
 ) -> Result<(), String> {
@@ -649,7 +575,7 @@ fn apply_peers(
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     program: &AnyProgram,
-    transport: &TcpTransport,
+    transport: &mut TcpTransport,
     cfg: &NodeConfig,
     ctl_w: &mut TcpStream,
     rx: &Receiver<String>,
@@ -1121,7 +1047,6 @@ pub struct ClusterReport {
 pub struct Cluster {
     cfg: ClusterConfig,
     spec: ProgramSpec,
-    program: AnyProgram,
     num_nodes: usize,
     ctl_addr: SocketAddr,
     rx: Receiver<(NodeId, NodeMsg)>,
@@ -1141,8 +1066,7 @@ impl Cluster {
     /// listener cannot bind (callers treat that as a graceful skip on
     /// loopback-less machines) or any process fails to report in.
     pub fn launch(spec: ProgramSpec, cfg: ClusterConfig) -> io::Result<Cluster> {
-        let program = spec.instantiate();
-        let num_nodes = program.num_nodes();
+        let num_nodes = spec.program().num_nodes();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let ctl_addr = listener.local_addr()?;
         let (tx, rx) = mpsc::channel();
@@ -1160,7 +1084,6 @@ impl Cluster {
         let mut cluster = Cluster {
             cfg,
             spec,
-            program,
             num_nodes,
             ctl_addr,
             rx,
@@ -1303,13 +1226,11 @@ impl Cluster {
     }
 
     fn reprogram(&mut self, spec: ProgramSpec) {
-        let program = spec.instantiate();
         assert_eq!(
-            program.num_nodes(),
+            spec.program().num_nodes(),
             self.num_nodes,
             "reprogram must keep the fleet size"
         );
-        self.program = program;
         self.spec = spec;
         self.broadcast_program();
         self.reprograms += 1;
@@ -1620,14 +1541,13 @@ mod tests {
         let wire = spec.encode();
         let decoded = ProgramSpec::decode(&wire).expect("decode");
         assert_eq!(decoded.encode(), wire, "re-encode must be stable");
-        let back = decoded.instantiate();
+        let back = decoded.program();
         assert_eq!(back.num_nodes(), program.num_nodes());
         assert_eq!(back.schedule(), program.schedule());
         let AnyProgram::Chain(back) = back else {
             panic!("chain spec must decode to a chain program");
         };
         assert_eq!(back.plan.tables(), program.plan.tables());
-        assert_eq!(back.message_qubits, program.message_qubits);
     }
 
     #[test]
@@ -1637,7 +1557,7 @@ mod tests {
         let wire = spec.encode();
         let decoded = ProgramSpec::decode(&wire).expect("decode");
         assert_eq!(decoded.encode(), wire);
-        let back = decoded.instantiate();
+        let back = decoded.program();
         assert_eq!(back.num_nodes(), program.num_nodes());
         let AnyProgram::Relay(back) = back else {
             panic!("relay spec must decode to a relay program");
@@ -1655,17 +1575,17 @@ mod tests {
         let wire = spec.encode();
         let decoded = ProgramSpec::decode(&wire).expect("decode");
         assert_eq!(decoded.encode(), wire);
-        let back = decoded.instantiate();
+        let back = decoded.program();
         assert_eq!(back.num_nodes(), program.num_nodes());
         assert_eq!(back.schedule(), program.schedule());
         // Spot-check decisions: run both programs over a fault-free
         // transport under the same trial coordinates.
-        let transport = LocalChannelTransport::poll(program.num_nodes());
+        let mut transport = LocalChannelTransport::poll(program.num_nodes());
         let policy = RetryPolicy::default();
         let stream = BlockRng::new(0x7EE, 0);
         for t in 0..32u64 {
-            let (o1, s1) = run_round(&program, &transport, &policy, stream.trial(t));
-            let (o2, s2) = run_round(&back, &transport, &policy, stream.trial(t));
+            let (o1, s1) = run_round(&program, &mut transport, &policy, stream.trial(t));
+            let (o2, s2) = run_round(back, &mut transport, &policy, stream.trial(t));
             assert_eq!(format!("{o1:?}"), format!("{o2:?}"));
             assert_eq!(s1.digest, s2.digest);
         }
@@ -1702,10 +1622,10 @@ mod tests {
         let stream = BlockRng::new(0xD15C0, 3);
         for program in &programs {
             let n = program.num_nodes();
-            let transport = FaultyTransport::new(LocalChannelTransport::poll(n), plan.clone());
+            let mut transport = FaultyTransport::new(LocalChannelTransport::poll(n), plan.clone());
             let trials = 64u64;
             let reference: Vec<_> = (0..trials)
-                .map(|t| run_round(program, &transport, &policy, stream.trial(t)))
+                .map(|t| run_round(program, &mut transport, &policy, stream.trial(t)))
                 .collect();
             let aborts = reference.iter().filter(|(o, _)| o.is_aborted()).count();
             assert!(
@@ -1718,7 +1638,7 @@ mod tests {
                 let (mut fault, mut all_accept, mut sent, mut digest) = (false, true, 0, 0u64);
                 for &v in program.schedule() {
                     let (decision, _, stats) =
-                        run_single_node(program, v, &transport, &policy, trial);
+                        run_single_node(program, v, &mut transport, &policy, trial);
                     match decision {
                         Ok(accept) => all_accept &= accept,
                         Err(_) => fault = true,

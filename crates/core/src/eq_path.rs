@@ -201,7 +201,6 @@ impl EqPathProtocol {
         let right_state = self.protocol.alice_message(y);
         let proof = cheating_proof(&chain, &right_state, cheat);
         crate::net::ChainNetProgram::new(chain.round_plan(&proof))
-            .with_message_qubits(self.protocol.scheme().qubits() as u64)
     }
 
     /// Batched honest rounds on a yes-instance; every round accepts (up to

@@ -464,7 +464,7 @@ impl EqTreeProtocol {
                 probs: node_plan.probs,
             };
         }
-        crate::net::TreeNetProgram::new(roles, order, self.scheme.qubits() as u64)
+        crate::net::TreeNetProgram::new(roles, order)
     }
 
     /// Completeness witness: acceptance of the honest proof when every terminal

@@ -40,7 +40,7 @@
 
 use crate::adversary::{plan_acceptance, swap_accept};
 use crate::chain::{ChainRoundPlan, SeparableChainProof, SwapTestChain};
-use crate::net::{run_round, tally, NodeIo, RoundProgram};
+use crate::net::{run_chain_node, run_round, tally, NodeIo, RoundProgram};
 use crate::trials::{
     default_lane_width, BatchSampler, BlockOutcomes, BlockRng, LaneBatched, OutcomeSampler,
     MAX_LANES,
@@ -704,20 +704,13 @@ impl BatchSampler for NoisyChainSampler {
 }
 
 /// One transport trial's chain program: the per-trajectory round tables in
-/// the coin-pair layout of [`ChainRoundPlan`], walked node by node exactly
-/// like [`crate::net::ChainNetProgram`]. Borrows the worker's scratch
-/// buffers — building one is free.
+/// the coin-pair layout of [`ChainRoundPlan`], walked node by node by the
+/// same executor as [`crate::net::ChainNetProgram`]. Borrows the worker's
+/// scratch buffers — building one is free.
 struct NoisyChainProgram<'a> {
     tables: &'a [f64],
     k: usize,
     schedule: &'a [NodeId],
-}
-
-impl NoisyChainProgram<'_> {
-    #[inline]
-    fn table(&self, j: usize, idx: usize) -> f64 {
-        self.tables[4 * j + idx]
-    }
 }
 
 impl RoundProgram for NoisyChainProgram<'_> {
@@ -734,18 +727,7 @@ impl RoundProgram for NoisyChainProgram<'_> {
         node: NodeId,
         io: &mut NodeIo<'_, T>,
     ) -> Result<bool, FaultCause> {
-        if node == 0 {
-            io.send(1, 0)?;
-            Ok(true)
-        } else if node <= self.k {
-            let prev = (io.recv()?.payload & 1) as usize;
-            let (cur, accept) = io.coin_accept(|cur| self.table(node - 1, prev + 2 * cur));
-            io.send(node + 1, cur as u64)?;
-            Ok(accept)
-        } else {
-            let prev = (io.recv()?.payload & 1) as usize;
-            Ok(io.bernoulli(self.table(self.k, prev)))
-        }
+        run_chain_node(self.k, self.tables, node, io)
     }
 }
 
@@ -800,7 +782,7 @@ impl OutcomeSampler for NoisyTransportSampler<'_> {
                 schedule: &scratch.schedule,
             };
             let trial = stream.trial(t);
-            let (outcome, stats) = run_round(&program, &scratch.transport, &self.policy, trial);
+            let (outcome, stats) = run_round(&program, &mut scratch.transport, &self.policy, trial);
             tally(&mut out, &outcome, &stats, trial.salt());
         }
         out

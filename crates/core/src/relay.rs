@@ -297,7 +297,6 @@ impl RelayEqProtocol {
             &self.round_plan(x, y, relay_strings, cheat),
             &self.segment_boundaries(),
         )
-        .with_message_qubits(self.scheme.qubits() as u64)
     }
 
     /// Batched Monte-Carlo rounds (one repetition of every segment per

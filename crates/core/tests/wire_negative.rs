@@ -116,14 +116,14 @@ fn single_token_corruption_is_an_error_never_a_panic() {
 #[test]
 fn oversized_counts_are_refused_before_allocation() {
     let hostile = [
-        "chain 1073741824 3",
-        "relay 1073741824 3 0",
+        "chain 1073741824",
+        "relay 1073741824 0",
         // Boundaries implying a single segment of ~2^30 tables.
-        "relay 1 3 0 1073741824",
-        "tree 1073741824 3 0",
-        "tree 2 3 1073741824",
-        "tree 1 3 0 i x 1073741824",
-        "tree 1 3 0 i x 1 0:x 1073741824",
+        "relay 1 0 1073741824",
+        "tree 1073741824 0",
+        "tree 2 1073741824",
+        "tree 1 0 i x 1073741824",
+        "tree 1 0 i x 1 0:x 1073741824",
     ];
     for frame in hostile {
         let err = ProgramSpec::decode(frame).expect_err("oversized count must be refused");
@@ -134,8 +134,31 @@ fn oversized_counts_are_refused_before_allocation() {
     }
     // Non-monotone relay boundaries are the other allocation-bomb shape:
     // segment length is a subtraction that must be checked, not wrapped.
-    assert!(ProgramSpec::decode("relay 1 3 5 2").is_err());
-    assert!(ProgramSpec::decode("relay 2 3 0 4 1").is_err());
+    assert!(ProgramSpec::decode("relay 1 5 2").is_err());
+    assert!(ProgramSpec::decode("relay 2 0 4 1").is_err());
+}
+
+/// Relay boundaries must start at node 0: no role exists for the nodes
+/// before the first boundary. These frames are otherwise well formed
+/// (increasing boundaries, the right number of table tokens), so building
+/// the program from them would underflow; decode must refuse them first,
+/// and say why.
+#[test]
+fn relay_boundaries_not_starting_at_zero_are_structured_errors() {
+    let tables = |n: usize| vec!["3ff0000000000000"; n].join(" ");
+    for frame in [
+        format!("relay 1 5 9 {}", tables(16)),
+        "relay 0 5".to_string(),
+        format!("relay 2 1 3 5 {} {}", tables(8), tables(8)),
+    ] {
+        let result = std::panic::catch_unwind(|| ProgramSpec::decode(&frame));
+        let decoded = result.unwrap_or_else(|_| panic!("decode panicked on {frame:?}"));
+        let err = decoded.expect_err(&frame);
+        assert!(
+            err.contains("not 0"),
+            "unexpected error {err:?} for {frame:?}"
+        );
+    }
 }
 
 #[test]
@@ -143,11 +166,11 @@ fn unknown_kinds_and_bad_roles_are_structured_errors() {
     for frame in [
         "",
         "warp 1 2 3",
-        "tree 1 3 0 q",
-        "tree 1 3 0 l zz",
-        "tree 1 3 0 i x 1 5 0",    // child token missing ':'
-        "tree 1 3 0 i x 1 5:zz 0", // bad shift
-        "tree 1 3 0 i y 1 5:x 0",  // bad parent token
+        "tree 1 0 q",
+        "tree 1 0 l zz",
+        "tree 1 0 i x 1 5 0",    // child token missing ':'
+        "tree 1 0 i x 1 5:zz 0", // bad shift
+        "tree 1 0 i y 1 5:x 0",  // bad parent token
     ] {
         let result = std::panic::catch_unwind(|| ProgramSpec::decode(frame));
         let decoded = result.unwrap_or_else(|_| panic!("decode panicked on {frame:?}"));

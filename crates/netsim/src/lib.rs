@@ -35,7 +35,9 @@
 //! trial is bit-reproducible at any worker count. Rounds that exhaust their
 //! retry budget degrade gracefully to
 //! [`transport::RoundOutcome::Aborted`] with a [`transport::FaultReport`]
-//! carrying the partial [`CostTracker`] state of the affected verifier.
+//! naming the node, its virtual clock and the cause. Every transport has
+//! one owner, so [`transport::Transport`] takes `&mut self`; only the TCP
+//! transport's connection handlers share its mailbox.
 //!
 //! # Example
 //!

@@ -60,10 +60,13 @@
 //! [`crate::transport::FaultCause::RecvTimeout`] or the supervisor's missing
 //! report, never as a silently wrong delivery.
 //!
-//! The mailbox's condvar is notified only while a receiver is blocked on
-//! it: std's `Condvar` makes a wake syscall on every notify, whether or not
-//! a thread waits, and a node that pins its own epoch once per trial would
-//! otherwise pay for wakes nobody needs.
+//! The mailbox is the one piece of state shared between threads: the
+//! connection handlers push into it while the transport's owner pops. Only
+//! the handlers notify its condvar, and only while a receiver is blocked on
+//! it (std's `Condvar` makes a wake syscall on every notify, whether or not
+//! a thread waits). The owner never needs to: [`Transport::recv`] is the
+//! only place a receiver blocks, and while the owner holds `&mut` to move
+//! the epoch, it is not in `recv`.
 //!
 //! # Epochs and the block-index determinism contract
 //!
@@ -109,7 +112,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -170,7 +173,7 @@ impl TcpConfig {
     }
 }
 
-/// Inbound state shared with the acceptor/handler threads.
+/// Inbound state shared with the connection-handler threads.
 #[derive(Default)]
 struct MailState {
     /// Current epoch: frames stamped with it are deliverable now.
@@ -349,18 +352,18 @@ impl Conn {
 /// own). Peers are dialled lazily on first send and re-dialled after any
 /// socket error, with pacing supplied by the caller's
 /// [`crate::policy::RetryPolicy`] windows; [`TcpTransport::set_peer`]
-/// re-points a peer at a new address (process restart). Sends are
-/// serialised: one holds the peer table for its whole attempt.
+/// re-points a peer at a new address (process restart). Only the mailbox
+/// and the shutdown flag are shared with the acceptor and handler threads.
 pub struct TcpTransport {
     node: NodeId,
     cfg: TcpConfig,
     listener_addr: SocketAddr,
     /// Each peer's address, connection and replay frames.
-    peers: Mutex<HashMap<NodeId, Peer>>,
+    peers: HashMap<NodeId, Peer>,
     mail: Mail,
     /// Virtual clock mirrored by the wall: reset each trial, advanced by
     /// elapsed wall time on every blocking operation.
-    vclock: AtomicU64,
+    vclock: VTime,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -387,9 +390,9 @@ impl TcpTransport {
             node,
             cfg,
             listener_addr,
-            peers: Mutex::new(HashMap::new()),
+            peers: HashMap::new(),
             mail,
-            vclock: AtomicU64::new(0),
+            vclock: 0,
             shutdown,
         })
     }
@@ -407,55 +410,40 @@ impl TcpTransport {
     /// Points `node` at `addr`. A new address (a restarted process listens
     /// on a fresh port) drops the cached connection and its replay frames;
     /// an unchanged one keeps both.
-    pub fn set_peer(&self, node: NodeId, addr: SocketAddr) {
-        let mut peers = self.peers.lock().expect("peer table lock poisoned");
-        if peers.get(&node).is_none_or(|p| p.addr != addr) {
-            peers.insert(node, Peer::new(addr));
+    pub fn set_peer(&mut self, node: NodeId, addr: SocketAddr) {
+        if self.peers.get(&node).is_none_or(|p| p.addr != addr) {
+            self.peers.insert(node, Peer::new(addr));
         }
     }
 
     /// Forgets `node` entirely (peer leave): sends to it fail fast as
     /// [`SendOutcome::Lost`] until a new address is installed.
-    pub fn clear_peer(&self, node: NodeId) {
-        self.peers
-            .lock()
-            .expect("peer table lock poisoned")
-            .remove(&node);
+    pub fn clear_peer(&mut self, node: NodeId) {
+        self.peers.remove(&node);
     }
 
     /// Jumps the trial epoch (e.g. to the batch's global trial index after a
     /// supervisor `abandon`). Buffered future-epoch deliveries for the new
     /// epoch become visible; everything older is pruned.
-    pub fn set_epoch(&self, epoch: u64) {
+    pub fn set_epoch(&mut self, epoch: u64) {
         self.enter_epoch(|_| epoch);
     }
 
-    /// Moves the mailbox to `next(current epoch)`, resets the virtual clock
-    /// and wakes a blocked receiver, if there is one.
-    fn enter_epoch(&self, next: impl FnOnce(u64) -> u64) {
-        let (lock, cvar) = &*self.mail;
-        let wake = {
-            let mut mail = lock.lock().expect("mailbox lock poisoned");
-            let epoch = next(mail.epoch);
-            mail.set_epoch(epoch);
-            mail.waiters > 0
-        };
-        self.vclock.store(0, Ordering::Relaxed);
-        if wake {
-            cvar.notify_all();
-        }
+    /// Moves the mailbox to `next(current epoch)` and resets the virtual
+    /// clock.
+    fn enter_epoch(&mut self, next: impl FnOnce(u64) -> u64) {
+        let mut mail = self.mail.0.lock().expect("mailbox lock poisoned");
+        let epoch = next(mail.epoch);
+        mail.set_epoch(epoch);
+        drop(mail);
+        self.vclock = 0;
     }
 
     /// Writes every peer's queued frames, one `write_all` per connection.
     /// A failed write drops that connection; its frames stay in the window
     /// and the next send to that peer redials and replays them.
-    pub fn flush(&self) {
-        let mut peers = self.peers.lock().expect("peer table lock poisoned");
-        for peer in peers.values_mut() {
-            if peer.conn.as_mut().is_some_and(|c| c.flush().is_err()) {
-                peer.conn = None;
-            }
-        }
+    pub fn flush(&mut self) {
+        flush_peers(&mut self.peers);
     }
 
     /// The current trial epoch.
@@ -463,19 +451,15 @@ impl TcpTransport {
         self.mail.0.lock().expect("mailbox lock poisoned").epoch
     }
 
-    fn advance_vclock(&self, start: Instant) -> VTime {
+    fn advance_vclock(&mut self, start: Instant) -> VTime {
         let elapsed_v = (start.elapsed().as_nanos() as u64) / self.cfg.nanos_per_vns.max(1);
-        let v = self
-            .vclock
-            .load(Ordering::Relaxed)
-            .saturating_add(elapsed_v.max(1));
-        self.vclock.store(v, Ordering::Relaxed);
-        v
+        self.vclock = self.vclock.saturating_add(elapsed_v.max(1));
+        self.vclock
     }
 
     /// One send attempt into `env.dst`'s window. Any failure drops the
     /// connection (keeping its replay frames) and returns `Err`.
-    fn try_send(&self, env: &Envelope, epoch: u64, budget: Duration) -> io::Result<()> {
+    fn try_send(&mut self, env: &Envelope, epoch: u64, budget: Duration) -> io::Result<()> {
         let data: DataFrame = frame(
             KIND_DATA,
             &[
@@ -487,8 +471,8 @@ impl TcpTransport {
                 &env.payload.to_le_bytes(),
             ],
         );
-        let mut peers = self.peers.lock().expect("peer table lock poisoned");
-        let peer = peers
+        let peer = self
+            .peers
             .get_mut(&env.dst)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer address unknown"))?;
         let sent = peer.send(self.node, &data, &self.cfg, budget);
@@ -507,12 +491,20 @@ impl Drop for TcpTransport {
     }
 }
 
+/// Writes every peer's queued frames; see [`TcpTransport::flush`].
+fn flush_peers(peers: &mut HashMap<NodeId, Peer>) {
+    for peer in peers.values_mut() {
+        if peer.conn.as_mut().is_some_and(|c| c.flush().is_err()) {
+            peer.conn = None;
+        }
+    }
+}
+
 impl Transport for TcpTransport {
-    fn send(&self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome {
+    fn send(&mut self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome {
         let start = Instant::now();
-        let v = self.vclock.load(Ordering::Relaxed).max(now);
-        self.vclock.store(v, Ordering::Relaxed);
-        let budget = self.cfg.wall(ack_deadline.saturating_sub(v));
+        self.vclock = self.vclock.max(now);
+        let budget = self.cfg.wall(ack_deadline.saturating_sub(self.vclock));
         let epoch = self.epoch();
         match self.try_send(env, epoch, budget) {
             Ok(()) => SendOutcome::Acked(self.advance_vclock(start)),
@@ -529,33 +521,30 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
+    fn recv(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome {
         debug_assert_eq!(node, self.node, "TcpTransport serves exactly one node");
         let start = Instant::now();
-        let v = self.vclock.load(Ordering::Relaxed);
-        let budget = self.cfg.wall(deadline.saturating_sub(v));
+        let budget = self.cfg.wall(deadline.saturating_sub(self.vclock));
         let wall_deadline = start + budget;
         let (lock, cvar) = &*self.mail;
         let mut flushed = false;
         let mut mail = lock.lock().expect("mailbox lock poisoned");
-        loop {
+        let delivered = loop {
             if let Some(env) = mail.pop() {
-                drop(mail);
-                return RecvOutcome::Delivered(env, self.advance_vclock(start));
+                break Some(env);
             }
             if !flushed {
                 // About to wait: put this node's queued frames on the wire
                 // first, without the lock the connection handlers need.
                 drop(mail);
-                self.flush();
+                flush_peers(&mut self.peers);
                 flushed = true;
                 mail = lock.lock().expect("mailbox lock poisoned");
                 continue;
             }
             let left = wall_deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                self.advance_vclock(start);
-                return RecvOutcome::TimedOut;
+                break None;
             }
             mail.waiters += 1;
             let (guard, _timeout) = cvar
@@ -563,10 +552,16 @@ impl Transport for TcpTransport {
                 .expect("mailbox lock poisoned");
             mail = guard;
             mail.waiters -= 1;
+        };
+        drop(mail);
+        let v = self.advance_vclock(start);
+        match delivered {
+            Some(env) => RecvOutcome::Delivered(env, v),
+            None => RecvOutcome::TimedOut,
         }
     }
 
-    fn begin_trial(&self, _salt: u64) {
+    fn begin_trial(&mut self, _salt: u64) {
         self.enter_epoch(|epoch| epoch + 1);
     }
 }
@@ -681,8 +676,9 @@ fn invalid(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RetryPolicy;
+    use crate::policy::{mix64, RetryPolicy};
     use crate::transport::{robust_send, FaultCause};
+    use std::collections::HashSet;
 
     fn env(src: NodeId, dst: NodeId, seq: u32, payload: u64) -> Envelope {
         Envelope {
@@ -695,8 +691,8 @@ mod tests {
     }
 
     fn pair() -> Option<(TcpTransport, TcpTransport)> {
-        let a = TcpTransport::bind(0).ok()?;
-        let b = TcpTransport::bind(1).ok()?;
+        let mut a = TcpTransport::bind(0).ok()?;
+        let mut b = TcpTransport::bind(1).ok()?;
         a.set_peer(1, b.local_addr());
         b.set_peer(0, a.local_addr());
         Some((a, b))
@@ -736,14 +732,13 @@ mod tests {
 
     /// Whether `t` holds a live connection to `peer`.
     fn connected(t: &TcpTransport, peer: NodeId) -> bool {
-        let peers = t.peers.lock().unwrap();
-        peers.get(&peer).is_some_and(|p| p.conn.is_some())
+        t.peers.get(&peer).is_some_and(|p| p.conn.is_some())
     }
 
-    /// Spins until `t`'s mailbox satisfies `ready`; fails after 10 s.
-    fn await_mail(t: &TcpTransport, ready: impl Fn(&MailState) -> bool) {
+    /// Spins until `mail` satisfies `ready`; fails after 10 s.
+    fn await_mail(mail: &Mail, ready: impl Fn(&MailState) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !ready(&t.mail.0.lock().unwrap()) {
+        while !ready(&mail.0.lock().unwrap()) {
             assert!(Instant::now() < deadline, "the mailbox never got there");
             std::thread::yield_now();
         }
@@ -751,7 +746,7 @@ mod tests {
 
     #[test]
     fn delivers_and_acks_over_loopback() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.begin_trial(7);
         b.begin_trial(7);
         let got = a.send(0, &env(0, 1, 0, 42), 1 << 20);
@@ -766,7 +761,7 @@ mod tests {
 
     #[test]
     fn a_node_about_to_block_in_recv_writes_its_queued_frames() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(1);
         b.set_epoch(1);
         let got = a.send(0, &env(0, 1, 0, 8), 1 << 20);
@@ -780,13 +775,15 @@ mod tests {
     }
 
     #[test]
-    fn a_blocked_recv_wakes_on_a_delivery_and_on_another_threads_epoch_change() {
-        let Ok(a) = TcpTransport::bind(0) else { return };
+    fn a_blocked_recv_wakes_on_a_handler_delivery() {
+        let Ok(mut a) = TcpTransport::bind(0) else {
+            return;
+        };
         let cfg = TcpConfig {
             max_wait: Duration::from_secs(4),
             ..TcpConfig::default()
         };
-        let Ok(b) = TcpTransport::with_config(1, cfg) else {
+        let Ok(mut b) = TcpTransport::with_config(1, cfg) else {
             return;
         };
         a.set_peer(1, b.local_addr());
@@ -795,14 +792,14 @@ mod tests {
         // Four seconds of wall at the default 1000 ns per virtual ns; a
         // woken receiver returns in a fraction of that.
         let deadline: VTime = 4_000_000;
-        let timed_recv = || {
-            let began = Instant::now();
-            (b.recv(1, deadline), began.elapsed())
-        };
+        let mail = Arc::clone(&b.mail);
         std::thread::scope(|s| {
             // A delivery of the current epoch wakes it.
-            let waiter = s.spawn(timed_recv);
-            await_mail(&b, |m| m.waiters == 1);
+            let waiter = s.spawn(|| {
+                let began = Instant::now();
+                (b.recv(1, deadline), began.elapsed())
+            });
+            await_mail(&mail, |m| m.waiters == 1);
             assert!(matches!(
                 a.send(0, &env(0, 1, 0, 1), 1 << 20),
                 SendOutcome::Acked(_)
@@ -811,27 +808,12 @@ mod tests {
             let (got, took) = waiter.join().unwrap();
             assert!(matches!(got, RecvOutcome::Delivered(e, _) if e.payload == 1));
             assert!(took < Duration::from_secs(2), "woken after {took:?}");
-            // A buffered future-epoch frame becomes current through another
-            // thread's `set_epoch`, which wakes it.
-            a.set_epoch(2);
-            assert!(matches!(
-                a.send(0, &env(0, 1, 0, 2), 1 << 20),
-                SendOutcome::Acked(_)
-            ));
-            a.flush();
-            await_mail(&b, |m| m.queue.len() == 1);
-            let waiter = s.spawn(timed_recv);
-            await_mail(&b, |m| m.waiters == 1);
-            b.set_epoch(2);
-            let (got, took) = waiter.join().unwrap();
-            assert!(matches!(got, RecvOutcome::Delivered(e, _) if e.payload == 2));
-            assert!(took < Duration::from_secs(2), "woken after {took:?}");
         });
     }
 
     #[test]
     fn future_epoch_buffers_until_receiver_catches_up() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(5);
         b.set_epoch(4);
         assert!(matches!(
@@ -851,7 +833,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_is_acked_but_dropped_and_dedup_holds() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(3);
         b.set_epoch(8);
         // Stale: accepted (sender completes) but never delivered.
@@ -875,7 +857,7 @@ mod tests {
 
     #[test]
     fn stale_frames_still_clear_the_window() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(1);
         b.set_epoch(100);
         // Three windows of stale frames: each full window needs acks.
@@ -890,7 +872,7 @@ mod tests {
 
     #[test]
     fn reconnects_to_rebound_peer_via_retry_policy() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(1);
         b.set_epoch(1);
         assert!(matches!(
@@ -902,7 +884,7 @@ mod tests {
         // "Restart" node 1 on a fresh port: the old listener dies with it.
         let b_addr_old = b.local_addr();
         drop(b);
-        let b2 = TcpTransport::bind(1).expect("rebind");
+        let mut b2 = TcpTransport::bind(1).expect("rebind");
         assert_ne!(b_addr_old, b2.local_addr());
         b2.set_peer(0, a.local_addr());
         b2.set_epoch(1);
@@ -910,7 +892,13 @@ mod tests {
         // The new address dropped the cached socket, so robust_send dials
         // the new listener under the shared RetryPolicy.
         let mut clock: VTime = 0;
-        let sent = robust_send(&a, &policy(1 << 14, 4), 0xABCD, &mut clock, env(0, 1, 1, 6));
+        let sent = robust_send(
+            &mut a,
+            &policy(1 << 14, 4),
+            0xABCD,
+            &mut clock,
+            env(0, 1, 1, 6),
+        );
         assert!(sent.is_ok(), "reconnect failed: {sent:?}");
         a.flush();
         let RecvOutcome::Delivered(e, _) = b2.recv(1, 1 << 20) else {
@@ -923,7 +911,7 @@ mod tests {
 
     #[test]
     fn dead_peer_exhausts_retries_with_fault_cause() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, b)) = pair() else { return };
         a.set_epoch(1);
         // Peer gone, no restart. Its listener may still take the first dial
         // into its backlog, so early sends can enter the window; but once
@@ -933,7 +921,7 @@ mod tests {
         let policy = policy(1 << 10, 2);
         let mut clock: VTime = 0;
         let err = (0..=WINDOW as u32)
-            .map(|seq| robust_send(&a, &policy, 1, &mut clock, env(0, 1, seq, 3)))
+            .map(|seq| robust_send(&mut a, &policy, 1, &mut clock, env(0, 1, seq, 3)))
             .find(Result::is_err)
             .expect("a dead peer must exhaust the retry budget by the time the window fills");
         assert!(matches!(
@@ -944,7 +932,9 @@ mod tests {
 
     #[test]
     fn silent_peer_exhausts_retries_once_the_window_fills() {
-        let Ok(a) = TcpTransport::bind(0) else { return };
+        let Ok(mut a) = TcpTransport::bind(0) else {
+            return;
+        };
         let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
         a.set_peer(1, fake.local_addr().unwrap());
         a.set_epoch(1);
@@ -952,10 +942,10 @@ mod tests {
         let policy = policy(1 << 10, 2);
         let mut clock: VTime = 0;
         for seq in 0..WINDOW as u32 {
-            let sent = robust_send(&a, &policy, 1, &mut clock, env(0, 1, seq, 0));
+            let sent = robust_send(&mut a, &policy, 1, &mut clock, env(0, 1, seq, 0));
             assert_eq!(sent, Ok(1), "send {seq} fits the window");
         }
-        let err = robust_send(&a, &policy, 1, &mut clock, env(0, 1, WINDOW as u32, 0));
+        let err = robust_send(&mut a, &policy, 1, &mut clock, env(0, 1, WINDOW as u32, 0));
         assert!(matches!(
             err,
             Err(FaultCause::RetriesExhausted { to: 1, .. })
@@ -964,7 +954,7 @@ mod tests {
 
     #[test]
     fn reconnect_replays_unacked_frames_then_the_new_one() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(1);
         b.set_epoch(1);
         let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
@@ -1006,7 +996,13 @@ mod tests {
         // So the next send redials the same address on its first attempt.
         let policy = policy(1 << 12, 3);
         let mut clock: VTime = 0;
-        let attempts = robust_send(&a, &policy, 7, &mut clock, env(0, 1, seq, 10 + seq as u64));
+        let attempts = robust_send(
+            &mut a,
+            &policy,
+            7,
+            &mut clock,
+            env(0, 1, seq, 10 + seq as u64),
+        );
         assert_eq!(attempts, Ok(1), "the fake peer's backlog takes the redial");
         a.flush();
         // Second connection: HELLO, every unacked frame in order, then the
@@ -1046,15 +1042,17 @@ mod tests {
 
     #[test]
     fn future_epochs_deliver_in_order_as_the_epoch_advances() {
-        let Some((a, b)) = pair() else { return };
-        let Ok(c) = TcpTransport::bind(2) else { return };
+        let Some((mut a, mut b)) = pair() else { return };
+        let Ok(mut c) = TcpTransport::bind(2) else {
+            return;
+        };
         c.set_peer(1, b.local_addr());
         b.set_epoch(1);
         // 10 000 future-epoch frames: `a` walks epochs up, `c` walks them
         // down, so `b` must order what it buffers.
         const EPOCHS: u64 = 5_000;
         for i in 0..EPOCHS {
-            for (t, epoch) in [(&a, 2 + i), (&c, 1 + EPOCHS - i)] {
+            for (t, epoch) in [(&mut a, 2 + i), (&mut c, 1 + EPOCHS - i)] {
                 t.set_epoch(epoch);
                 let e = env(t.node(), 1, 0, epoch);
                 assert!(matches!(t.send(0, &e, 1 << 20), SendOutcome::Acked(_)));
@@ -1080,33 +1078,35 @@ mod tests {
 
     #[test]
     fn set_peer_redials_only_when_the_address_changes() {
-        let Ok(a) = TcpTransport::bind(0) else { return };
+        let Ok(mut a) = TcpTransport::bind(0) else {
+            return;
+        };
         a.set_epoch(1);
         let fake = TcpListener::bind(("127.0.0.1", 0)).expect("fake peer");
         let other = TcpListener::bind(("127.0.0.1", 0)).expect("second fake peer");
         let (addr, other_addr) = (fake.local_addr().unwrap(), other.local_addr().unwrap());
-        let send = |seq: u32| {
+        let send = |a: &mut TcpTransport, seq: u32| {
             let got = a.send(0, &env(0, 1, seq, 0), 1 << 20);
             assert!(matches!(got, SendOutcome::Acked(_)));
             a.flush();
         };
         a.set_peer(1, addr);
-        send(0);
+        send(&mut a, 0);
         a.set_peer(1, addr);
-        send(1);
+        send(&mut a, 1);
         let mut c1 = accept(&fake);
         raw_frame(&mut c1);
         assert_eq!(data_ids(&raw_frame(&mut c1)).0, 0);
         assert_eq!(data_ids(&raw_frame(&mut c1)).0, 1);
         // A new address redials there, without the old replay frames.
         a.set_peer(1, other_addr);
-        send(2);
+        send(&mut a, 2);
         let mut c2 = accept(&other);
         raw_frame(&mut c2);
         assert_eq!(data_ids(&raw_frame(&mut c2)).0, 2);
         // Back to the first address: one more dial there, two in all.
         a.set_peer(1, addr);
-        send(3);
+        send(&mut a, 3);
         accept(&fake);
         fake.set_nonblocking(true).unwrap();
         std::thread::sleep(Duration::from_millis(50));
@@ -1119,7 +1119,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_close_the_connection_and_deliver_nothing() {
-        let Some((a, b)) = pair() else { return };
+        let Some((mut a, mut b)) = pair() else { return };
         a.set_epoch(1);
         b.set_epoch(1);
         let hello: [u8; 4 + HELLO_LEN] = frame(KIND_HELLO, &[&0u32.to_le_bytes()]);
@@ -1214,5 +1214,94 @@ mod tests {
             panic!("expected delivery from a well-formed peer");
         };
         assert_eq!(e.payload, 42);
+    }
+
+    /// The plain model [`MailState`] must agree with: every buffered frame
+    /// in push order, whatever its epoch, and every delivered
+    /// `(epoch, src, seq)`.
+    #[derive(Default)]
+    struct MailModel {
+        epoch: u64,
+        frames: Vec<(u64, Envelope)>,
+        delivered: HashSet<(u64, NodeId, u32)>,
+    }
+
+    impl MailModel {
+        fn push(&mut self, epoch: u64, env: Envelope) -> bool {
+            if epoch < self.epoch {
+                return false;
+            }
+            self.frames.push((epoch, env));
+            epoch == self.epoch
+        }
+
+        /// The first current-epoch frame in push order whose key was not
+        /// delivered yet.
+        fn pop(&mut self) -> Option<Envelope> {
+            let epoch = self.epoch;
+            while let Some(i) = self.frames.iter().position(|&(e, _)| e == epoch) {
+                let (_, env) = self.frames.remove(i);
+                if self.delivered.insert((epoch, env.src, env.seq)) {
+                    return Some(env);
+                }
+            }
+            None
+        }
+
+        fn set_epoch(&mut self, epoch: u64) {
+            self.epoch = epoch;
+            self.frames.retain(|&(e, _)| e >= epoch);
+        }
+    }
+
+    /// Random pushes at stale, current and future epochs, pops, and
+    /// non-decreasing epoch moves, checked against [`MailModel`] step by
+    /// step. Each frame's payload carries its epoch and push index, so an
+    /// equal delivery is the same frame, and a delivery is also checked to
+    /// belong to the current epoch. Few sources and sequence numbers make
+    /// duplicate keys common.
+    #[test]
+    fn mail_state_matches_a_reference_model_under_random_steps() {
+        for case in 0..500u64 {
+            let seed = mix64(0x4D41_494C_0000_0000 ^ case);
+            let mut state = seed;
+            let mut next = |n: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                mix64(state) % n
+            };
+            let (mut mail, mut model) = (MailState::default(), MailModel::default());
+            for step in 0..200u64 {
+                match next(20) {
+                    0..=9 => {
+                        let epoch = (model.epoch + next(5)).saturating_sub(2);
+                        let env = Envelope {
+                            src: next(3) as NodeId,
+                            dst: 0,
+                            seq: next(4) as u32,
+                            attempt: 0,
+                            payload: (epoch << 32) | step,
+                        };
+                        let (got, want) = (mail.push(epoch, env), model.push(epoch, env));
+                        assert_eq!(got, want, "push: case seed {seed:#018x}, step {step}");
+                    }
+                    10..=16 => {
+                        let got = mail.pop();
+                        assert_eq!(got, model.pop(), "pop: case seed {seed:#018x}, step {step}");
+                        if let Some(env) = got {
+                            assert_eq!(
+                                env.payload >> 32,
+                                model.epoch,
+                                "delivered outside its epoch: case seed {seed:#018x}, step {step}"
+                            );
+                        }
+                    }
+                    _ => {
+                        let epoch = model.epoch + next(3);
+                        mail.set_epoch(epoch);
+                        model.set_epoch(epoch);
+                    }
+                }
+            }
+        }
     }
 }

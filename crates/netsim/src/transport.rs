@@ -32,11 +32,14 @@
 //!
 //! # Transports
 //!
-//! In process, [`LocalChannelTransport`] is the one transport: one mailbox
-//! per node and no synchronisation, owned by one thread at a time (each
-//! worker of the batched trial engine owns its own). Across processes, the
-//! TCP transport of [`crate::tcp`] carries the same envelopes over real
-//! sockets, one node per process — that is the concurrent executor.
+//! In process, [`LocalChannelTransport`] is the one transport: a plain
+//! `Vec` of mailboxes, owned by one thread (each worker of the batched
+//! trial engine owns its own). Across processes, the TCP transport of
+//! [`crate::tcp`] carries the same envelopes over real sockets, one node
+//! per process — that is the concurrent executor. Every transport has one
+//! owner, so the [`Transport`] methods take `&mut self` and nothing here is
+//! synchronised. The one exception is the TCP transport's mailbox, which
+//! its connection-handler threads fill; only they notify its condvar.
 //!
 //! # Fault model
 //!
@@ -62,11 +65,6 @@
 //! trait with per-message deadlines and bounded exponential backoff with
 //! deterministic jitter; exhausted budgets surface as a [`FaultCause`] so a
 //! round resolves to [`RoundOutcome::Aborted`] instead of hanging.
-
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::transcript::ProtocolCosts;
 
 /// Virtual nanoseconds. All deadlines, latencies, and backoff schedules are
 /// virtual-time quantities; see the module docs.
@@ -111,9 +109,12 @@ pub enum RecvOutcome {
 
 /// A byte-moving substrate for one protocol round.
 ///
-/// The trait is single-thread friendly: the batched fault-sweep engine hands
-/// each worker an exclusively-owned [`LocalChannelTransport`], which needs
-/// no synchronisation at all.
+/// Each transport has exactly one owner, the thread that drives its node
+/// (or nodes): a worker of the batched fault-sweep engine owns its
+/// [`LocalChannelTransport`], and a fleet node drives its
+/// [`crate::tcp::TcpTransport`] from its node loop. So the methods that move
+/// messages or start a trial take `&mut self`, and a transport needs no
+/// interior mutability.
 pub trait Transport {
     /// Attempts to deliver `env`, returning the acknowledgement verdict.
     ///
@@ -121,16 +122,16 @@ pub trait Transport {
     /// the sender is willing to wait for the acknowledgement (virtual time).
     /// The outcome is resolved synchronously and deterministically — there is
     /// no physical reverse message.
-    fn send(&self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome;
+    fn send(&mut self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome;
 
     /// Receives the earliest envelope addressed to `node` with a virtual
     /// arrival time `<= deadline`. Envelopes scheduled to arrive later stay
     /// queued for a future call with an extended deadline.
-    fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome;
+    fn recv(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome;
 
     /// Starts a fresh trial: clears all in-flight state and installs the
     /// trial's fault salt. Must be called between rounds.
-    fn begin_trial(&self, salt: u64);
+    fn begin_trial(&mut self, salt: u64);
 
     /// If `node` is crashed at virtual instant `now`, returns the instant it
     /// restarts (`VTime::MAX` when it never does).
@@ -221,8 +222,8 @@ impl Queued {
 const NO_KEY: u64 = u64::MAX;
 
 /// One node's inbox. Cleared lazily: instead of touching every mailbox at the
-/// start of each trial, `begin_trial` bumps a shared epoch and each mailbox
-/// self-clears on first touch in the new epoch.
+/// start of each trial, `begin_trial` bumps the transport's epoch and each
+/// mailbox self-clears on first touch in the new epoch.
 ///
 /// Layout is tuned for the dominant traffic pattern of the protocol rounds —
 /// exactly one in-flight message per node: `slot` is an inline fast path
@@ -360,10 +361,8 @@ impl Mailbox {
     }
 }
 
-/// In-memory channel transport: one mailbox per node, with **no
-/// synchronisation** — mailboxes live in [`RefCell`]s, each borrowed for
-/// one `send` or `recv`, so the type is `!Sync` and backs the sequential
-/// round driver only.
+/// In-memory channel transport: one mailbox per node, owned by the
+/// sequential round driver that runs every node.
 ///
 /// `recv` polls: it returns [`RecvOutcome::TimedOut`] immediately when
 /// nothing eligible is queued. That is correct for the sequential driver,
@@ -371,43 +370,38 @@ impl Mailbox {
 /// enqueued when its receiver runs. Latency and every other fault come from
 /// wrapping it in a [`FaultyTransport`].
 pub struct LocalChannelTransport {
-    boxes: Vec<RefCell<Mailbox>>,
-    epoch: Cell<u64>,
+    boxes: Vec<Mailbox>,
+    epoch: u64,
 }
 
 impl LocalChannelTransport {
     /// Non-blocking transport over `nodes` mailboxes.
     pub fn poll(nodes: usize) -> Self {
         LocalChannelTransport {
-            boxes: (0..nodes).map(|_| RefCell::new(Mailbox::fresh())).collect(),
-            epoch: Cell::new(0),
+            boxes: (0..nodes).map(|_| Mailbox::fresh()).collect(),
+            epoch: 0,
         }
-    }
-
-    /// Number of mailboxes.
-    pub fn num_nodes(&self) -> usize {
-        self.boxes.len()
     }
 }
 
 impl Transport for LocalChannelTransport {
     #[inline]
-    fn send(&self, now: VTime, env: &Envelope, _ack_deadline: VTime) -> SendOutcome {
-        let mut mbox = self.boxes[env.dst].borrow_mut();
-        mbox.sync(self.epoch.get());
+    fn send(&mut self, now: VTime, env: &Envelope, _ack_deadline: VTime) -> SendOutcome {
+        let mbox = &mut self.boxes[env.dst];
+        mbox.sync(self.epoch);
         mbox.push(now, *env);
         SendOutcome::Acked(now)
     }
 
     #[inline]
-    fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
-        let mut mbox = self.boxes[node].borrow_mut();
-        mbox.sync(self.epoch.get());
+    fn recv(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome {
+        let mbox = &mut self.boxes[node];
+        mbox.sync(self.epoch);
         mbox.take(node, deadline)
     }
 
-    fn begin_trial(&self, _salt: u64) {
-        self.epoch.set(self.epoch.get().wrapping_add(1));
+    fn begin_trial(&mut self, _salt: u64) {
+        self.epoch = self.epoch.wrapping_add(1);
     }
 
     fn is_quiet(&self) -> bool {
@@ -552,7 +546,7 @@ pub struct FaultyTransport<T: Transport> {
     /// the zero-fault hot path tests this once per send instead of walking
     /// every plan field.
     quiet: bool,
-    salt: AtomicU64,
+    salt: u64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -563,28 +557,18 @@ impl<T: Transport> FaultyTransport<T> {
             inner,
             plan,
             quiet,
-            salt: AtomicU64::new(0),
+            salt: 0,
         }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The installed fault schedule.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     #[inline]
-    fn send(&self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome {
+    fn send(&mut self, now: VTime, env: &Envelope, ack_deadline: VTime) -> SendOutcome {
         if self.quiet {
             return self.inner.send(now, env, ack_deadline);
         }
-        let salt = self.salt.load(Ordering::Relaxed);
+        let salt = self.salt;
         let plan = &self.plan;
 
         if plan.edge_blocked(env.src, env.dst, now) {
@@ -639,12 +623,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     #[inline]
-    fn recv(&self, node: NodeId, deadline: VTime) -> RecvOutcome {
+    fn recv(&mut self, node: NodeId, deadline: VTime) -> RecvOutcome {
         self.inner.recv(node, deadline)
     }
 
-    fn begin_trial(&self, salt: u64) {
-        self.salt.store(salt, Ordering::Relaxed);
+    fn begin_trial(&mut self, salt: u64) {
+        self.salt = salt;
         self.inner.begin_trial(salt);
     }
 
@@ -653,8 +637,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.quiet {
             return None;
         }
-        self.plan
-            .node_down_until(self.salt.load(Ordering::Relaxed), node, now)
+        self.plan.node_down_until(self.salt, node, now)
     }
 
     fn is_quiet(&self) -> bool {
@@ -694,8 +677,7 @@ pub enum FaultCause {
     NodePanicked,
 }
 
-/// Where, when, and why a round aborted — plus whatever cost accounting the
-/// affected verifier had accumulated before the fault.
+/// Where, when, and why a round aborted.
 #[derive(Clone, Debug)]
 pub struct FaultReport {
     /// The node at which the round aborted.
@@ -704,8 +686,6 @@ pub struct FaultReport {
     pub vtime: VTime,
     /// The underlying fault.
     pub cause: FaultCause,
-    /// Partial cost state gathered before the abort.
-    pub partial: ProtocolCosts,
 }
 
 /// Terminal state of one protocol round under the fault-injecting runtime.
@@ -736,7 +716,7 @@ impl RoundOutcome {
 /// the cause after the budget is exhausted.
 #[inline]
 pub fn robust_send<T: Transport + ?Sized>(
-    transport: &T,
+    transport: &mut T,
     policy: &RetryPolicy,
     salt: u64,
     clock: &mut VTime,
@@ -779,7 +759,7 @@ pub fn robust_send<T: Transport + ?Sized>(
 /// as [`robust_send`], so a retransmitted envelope still finds a listener.
 #[inline]
 pub fn robust_recv<T: Transport + ?Sized>(
-    transport: &T,
+    transport: &mut T,
     policy: &RetryPolicy,
     salt: u64,
     node: NodeId,
@@ -830,7 +810,7 @@ mod tests {
 
     #[test]
     fn channel_delivers_in_arrival_order() {
-        let t = LocalChannelTransport::poll(2);
+        let mut t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         // Same arrival time: FIFO by enqueue order.
         assert_eq!(
@@ -853,7 +833,7 @@ mod tests {
 
     #[test]
     fn late_arrivals_wait_for_an_extended_deadline() {
-        let t = FaultyTransport::new(
+        let mut t = FaultyTransport::new(
             LocalChannelTransport::poll(2),
             FaultPlan {
                 latency_base: 100,
@@ -871,7 +851,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_discarded_by_seq_dedup() {
-        let t = LocalChannelTransport::poll(2);
+        let mut t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         let mut e = env(0, 1, 5, 99);
         t.send(0, &e, VTime::MAX);
@@ -883,7 +863,7 @@ mod tests {
 
     #[test]
     fn begin_trial_clears_mailboxes_lazily() {
-        let t = LocalChannelTransport::poll(2);
+        let mut t = LocalChannelTransport::poll(2);
         t.begin_trial(1);
         t.send(0, &env(0, 1, 0, 1), VTime::MAX);
         t.begin_trial(2);
@@ -901,7 +881,7 @@ mod tests {
             latency_jitter: 1 << 20,
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(inner, plan);
+        let mut t = FaultyTransport::new(inner, plan);
         // Hunt for a salt where two concurrent sends swap their order.
         let mut swapped = false;
         for salt in 0..64 {
@@ -921,7 +901,7 @@ mod tests {
 
     #[test]
     fn drop_rate_one_loses_everything_and_is_deterministic() {
-        let t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
         t.begin_trial(7);
         assert_eq!(t.send(0, &env(0, 1, 0, 1), VTime::MAX), SendOutcome::Lost);
         assert_eq!(t.recv(1, VTime::MAX), RecvOutcome::TimedOut);
@@ -937,7 +917,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let run = |salt: u64| -> Vec<SendOutcome> {
-            let t = FaultyTransport::new(LocalChannelTransport::poll(4), plan.clone());
+            let mut t = FaultyTransport::new(LocalChannelTransport::poll(4), plan.clone());
             t.begin_trial(salt);
             (0..32)
                 .map(|i| t.send(0, &env(i % 3, 3, i as u32, i as u64), VTime::MAX))
@@ -957,7 +937,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         t.begin_trial(1);
         assert!(matches!(
             t.send(50, &env(0, 1, 0, 1), VTime::MAX),
@@ -981,7 +961,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(LocalChannelTransport::poll(3), plan);
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(3), plan);
         t.begin_trial(1);
         assert_eq!(t.node_down_until(1, 500), Some(1000));
         assert_eq!(t.node_down_until(1, 1000), None);
@@ -1001,7 +981,7 @@ mod tests {
             ack_drop_rate: 0.8,
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         let policy = RetryPolicy {
             max_attempts: 16,
             ..RetryPolicy::default()
@@ -1011,7 +991,7 @@ mod tests {
         for salt in 0..32 {
             t.begin_trial(salt);
             let mut clock = 0;
-            if let Ok(attempts) = robust_send(&t, &policy, salt, &mut clock, env(0, 1, 0, 5)) {
+            if let Ok(attempts) = robust_send(&mut t, &policy, salt, &mut clock, env(0, 1, 0, 5)) {
                 retried |= attempts > 1;
                 let mut seen = 0;
                 while let RecvOutcome::Delivered(..) = t.recv(1, VTime::MAX) {
@@ -1027,10 +1007,16 @@ mod tests {
 
     #[test]
     fn robust_send_exhausts_and_reports_cause() {
-        let t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(2), FaultPlan::with_drop(1.0));
         t.begin_trial(3);
         let mut clock = 0;
-        let err = robust_send(&t, &RetryPolicy::default(), 3, &mut clock, env(0, 1, 9, 0));
+        let err = robust_send(
+            &mut t,
+            &RetryPolicy::default(),
+            3,
+            &mut clock,
+            env(0, 1, 9, 0),
+        );
         assert_eq!(
             err,
             Err(FaultCause::RetriesExhausted {
@@ -1048,16 +1034,16 @@ mod tests {
             latency_base: 10_000,
             ..FaultPlan::default()
         };
-        let t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
+        let mut t = FaultyTransport::new(LocalChannelTransport::poll(2), plan);
         t.begin_trial(1);
         let policy = RetryPolicy::default();
         t.send(0, &env(0, 1, 0, 42), VTime::MAX);
         let mut clock = 0;
-        let got = robust_recv(&t, &policy, 1, 1, &mut clock).expect("latency within budget");
+        let got = robust_recv(&mut t, &policy, 1, 1, &mut clock).expect("latency within budget");
         assert_eq!(got.payload, 42);
         let mut clock2 = 0;
         assert_eq!(
-            robust_recv(&t, &policy, 1, 1, &mut clock2),
+            robust_recv(&mut t, &policy, 1, 1, &mut clock2),
             Err(FaultCause::RecvTimeout { attempts: 5 })
         );
     }

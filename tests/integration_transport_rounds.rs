@@ -257,9 +257,10 @@ fn a_crashed_verifier_surfaces_a_fault_report_with_its_cause() {
         }],
         ..FaultPlan::none()
     };
-    let transport = FaultyTransport::new(LocalChannelTransport::poll(program.num_nodes()), plan);
+    let mut transport =
+        FaultyTransport::new(LocalChannelTransport::poll(program.num_nodes()), plan);
     let trial = BlockRng::new(0x1CE, 0).trial(77);
-    let (outcome, _) = run_round(&program, &transport, &policy(), trial);
+    let (outcome, _) = run_round(&program, &mut transport, &policy(), trial);
     match outcome {
         RoundOutcome::Aborted(report) => {
             assert!(
