@@ -139,7 +139,6 @@ fn soundness_row(label: &str, p: &SoundnessPoint) {
 }
 
 fn main() {
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
     let mut report = JsonReport::new();
 
     // ----- Table 1: optimiser build + sample throughput -------------------
@@ -175,7 +174,9 @@ fn main() {
                 opt.acceptance
             );
         }
-        let sampled = chain.sample_rounds(&opt.proof, SAMPLE_TRIALS, 0xAD + r as u64);
+        let plan = chain.round_plan(&opt.proof);
+        let sampled =
+            dqma::trials::run_trials_with_workers(&plan, SAMPLE_TRIALS, 0xAD + r as u64, 1);
         let speedup = t_spec
             .as_ref()
             .map(|t| t.ns_per_op / t_opt.ns_per_op)
@@ -349,7 +350,7 @@ fn main() {
         &proof32,
         &NoisePlan::symmetric(NoiseChannel::Depolarizing { p: 0.1 }),
     );
-    let noisy_report = dqma::trials::run_trials(&noisy32, 1 << 17, 0xBEEF);
+    let noisy_report = dqma::trials::run_trials_with_workers(&noisy32, 1 << 17, 0xBEEF, 1);
     // Sanity: the sampled noisy rate must track the exact transfer product.
     let exact32 = noisy32.exact_acceptance();
     let eps = dqma::trials::stats::hoeffding_margin(noisy_report.trials);
@@ -471,8 +472,6 @@ fn main() {
             "meets_2x_transport_budget",
             JsonValue::Str((transport_overhead <= 2.0).to_string()),
         ),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adversarial.json");
     std::fs::write(path, &json).expect("write BENCH_adversarial.json");

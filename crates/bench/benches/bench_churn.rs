@@ -107,7 +107,6 @@ struct KillRow {
 }
 
 fn main() {
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
     let mut report = JsonReport::new();
 
     // ----- Table 1: TCP transport overhead (r = 32, 33 processes) ---------
@@ -372,8 +371,6 @@ fn main() {
             "meets_tcp_ceiling",
             JsonValue::Str(meets_ceiling.to_string()),
         ),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_churn.json");
     std::fs::write(path, &json).expect("write BENCH_churn.json");

@@ -242,7 +242,6 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 fn main() {
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
     let mut report = JsonReport::new();
 
     // ----- Table 1: transport overhead ------------------------------------
@@ -388,8 +387,6 @@ fn main() {
             JsonValue::Str(meets_3x.to_string()),
         ),
         ("zero_fault_completeness", JsonValue::Num(zero_fault_accept)),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
     std::fs::write(path, &json).expect("write BENCH_faults.json");

@@ -449,18 +449,11 @@ fn main() {
     // runs the multi-word lane walk, two coin words per trial).
     for &r in &[8usize, 32, 128] {
         let proto = EqPathProtocol::with_scheme(r, scheme.clone(), 1);
-        let chain = proto.chain(&x, &y);
-        let right_state = proto.one_way().alice_message(&y);
-        let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
+        let plan = proto.round_plan(&x, &y, ChainCheat::Interpolate);
         let n = 2_000_000u64;
         let reports = workers_sweep
             .iter()
-            .map(|&w| {
-                (
-                    w,
-                    chain.sample_rounds_with_workers(&proof, n, trial_seed, w),
-                )
-            })
+            .map(|&w| (w, trials::run_trials_with_workers(&plan, n, trial_seed, w)))
             .collect();
         trial_rows.push(TrialRow {
             name: format!("eq_path_trials_r{r}"),
@@ -526,16 +519,11 @@ fn main() {
         );
         let mut inputs = vec![x.clone(); terminals.len()];
         inputs[legs - 1] = y.clone();
-        let proof = proto.uniform_proof(&x);
+        let plan = proto.round_plan(&inputs, &proto.uniform_proof(&x));
         let n = 2_000_000u64;
         let reports = workers_sweep
             .iter()
-            .map(|&w| {
-                (
-                    w,
-                    proto.sample_rounds_with_workers(&inputs, &proof, n, trial_seed, w),
-                )
-            })
+            .map(|&w| (w, trials::run_trials_with_workers(&plan, n, trial_seed, w)))
             .collect();
         trial_rows.push(TrialRow {
             name: format!("eq_tree_trials_t{legs}"),
@@ -551,23 +539,11 @@ fn main() {
         let r = 16usize;
         let proto = RelayEqProtocol::with_spacing(4, r, 2, 11);
         let relays = vec![x.clone(); proto.relay_points().len()];
+        let plan = proto.round_plan(&x, &y, &relays, ChainCheat::Interpolate);
         let n = 1_000_000u64;
         let reports = workers_sweep
             .iter()
-            .map(|&w| {
-                (
-                    w,
-                    proto.sample_rounds_with_workers(
-                        &x,
-                        &y,
-                        &relays,
-                        ChainCheat::Interpolate,
-                        n,
-                        trial_seed,
-                        w,
-                    ),
-                )
-            })
+            .map(|&w| (w, trials::run_trials_with_workers(&plan, n, trial_seed, w)))
             .collect();
         trial_rows.push(TrialRow {
             name: format!("relay_trials_r{r}"),
@@ -685,24 +661,19 @@ fn main() {
     }
 
     // Report.
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
-    let mut columns = vec![
-        "benchmark",
-        "matrix-free",
-        "dense",
-        "speedup",
-        "dense(memo)",
-    ];
-    if par_enabled {
-        columns.push("parallel");
-    }
     print_header(
         "bench_protocols: matrix-free measurements vs dense-projector oracles",
-        &columns,
+        &[
+            "benchmark",
+            "matrix-free",
+            "dense",
+            "speedup",
+            "dense(memo)",
+        ],
     );
     let mut report = JsonReport::new();
     for e in &entries {
-        let mut cells = vec![
+        print_row(&[
             e.name.clone(),
             fmt_ns(e.fast.ns_per_op),
             e.dense
@@ -712,12 +683,8 @@ fn main() {
             e.dense_cached
                 .as_ref()
                 .map_or("—".to_string(), |t| fmt_ns(t.ns_per_op)),
-        ];
-        if par_enabled {
-            cells.push(format!("{par_threads} threads"));
-        }
-        print_row(&cells);
-        let mut fields = vec![
+        ]);
+        report.push(&[
             ("name", JsonValue::Str(e.name.clone())),
             // Storage layout of the matrix-free column ("soa" split re/im
             // from PR 3 on); the oracle columns go through the dense
@@ -747,11 +714,7 @@ fn main() {
                 "speedup_vs_dense_cached",
                 JsonValue::Num(e.speedup_cached().unwrap_or(f64::NAN)),
             ),
-        ];
-        if par_enabled {
-            fields.push(("parallel", JsonValue::Str("true".to_string())));
-        }
-        report.push(&fields);
+        ]);
     }
 
     // Batched-trial table and JSON rows.
@@ -997,8 +960,6 @@ fn main() {
             JsonValue::Str(simd_mixed_meets.to_string()),
         ),
         ("eq_path_max_r", JsonValue::Int(eq_path_max_r as u64)),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_protocols.json");
     std::fs::write(path, &json).expect("write BENCH_protocols.json");

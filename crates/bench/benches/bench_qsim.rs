@@ -203,7 +203,6 @@ fn main() {
         });
     }
 
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
     let columns = [
         "benchmark",
         "strided",
@@ -263,8 +262,6 @@ fn main() {
             JsonValue::Num(gate.speedup()),
         ),
         ("meets_10x_target", JsonValue::Str(meets.to_string())),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     // cargo runs benches with the package directory as cwd; anchor the
     // report at the workspace root so the perf trajectory lives in one place.

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use dqma::cluster::locate_bin;
 use dqma::service::{client, json, ChaosSpec, CheatSpec, InstanceSpec, JobSpec};
-use dqma::trials::{run_trials, BLOCK_TRIALS};
+use dqma::trials::{run_trials_with_workers, BLOCK_TRIALS};
 use dqma_bench::{fmt_ns, print_header, print_row, JsonReport, JsonValue};
 
 /// Design ceiling for the service-vs-engine ratio (see module docs).
@@ -197,7 +197,6 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let (par_enabled, par_threads) = dqma_bench::parallel_config();
     let mut report = JsonReport::new();
 
     // ----- Table 1: service overhead vs the in-process engine --------------
@@ -210,10 +209,10 @@ fn main() {
     let trials = 2048 * BLOCK_TRIALS;
     let seed = 0xBE5E;
     // Warm-up on both sides: page cache, thread pool, first-connect costs.
-    run_trials(&instance.compile(), 64 * BLOCK_TRIALS, seed ^ 2);
+    run_trials_with_workers(&instance.compile(), 64 * BLOCK_TRIALS, seed ^ 2, 1);
     let warm = server.submit(&job(instance.clone(), 64 * BLOCK_TRIALS, seed ^ 1));
     server.wait_terminal(warm, Duration::from_secs(60));
-    let reference = run_trials(&instance.compile(), trials, seed);
+    let reference = run_trials_with_workers(&instance.compile(), trials, seed, 1);
 
     let started = Instant::now();
     let id = server.submit(&job(instance.clone(), trials, seed));
@@ -449,7 +448,7 @@ fn main() {
     // ~0.5 s of single-worker compute: a wide window to land the SIGKILL
     // in, and thousands of journaled blocks for the resume to reuse.
     let spec = job(eq_path(64, (0b101101, 0b101101)), 4096 * BLOCK_TRIALS, 0x77);
-    let reference = run_trials(&spec.instance.compile(), spec.trials, spec.seed);
+    let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, spec.seed, 1);
     let Some(server) = Server::launch(&[
         "--workers",
         "1",
@@ -522,8 +521,6 @@ fn main() {
         ("suite", JsonValue::Str("bench_service".to_string())),
         ("service_overhead_r32_x", JsonValue::Num(overhead)),
         ("service_p99_ms", JsonValue::Num(p99)),
-        ("parallel", JsonValue::Str(par_enabled.to_string())),
-        ("parallel_threads", JsonValue::Int(par_threads)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     std::fs::write(path, &json_out).expect("write BENCH_service.json");

@@ -82,23 +82,6 @@ pub fn time_it(mut f: impl FnMut(), min_duration: std::time::Duration) -> Timing
     }
 }
 
-/// Reports the threading configuration of this build: whether the
-/// `parallel` feature is compiled in, and the default width of the pooled
-/// trial engine (the `QSIM_PARALLEL_THREADS`-or-host-parallelism policy,
-/// queried from `qsim::pool::worker_count` so this never drifts from it).
-/// The bench bins attach this to their JSON reports so perf trajectories
-/// are comparable across configurations.
-pub fn parallel_config() -> (bool, u64) {
-    #[cfg(feature = "parallel")]
-    {
-        (true, qsim::pool::worker_count() as u64)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        (false, 1)
-    }
-}
-
 /// Refuses a workspace binary (`dqma-node`, `dqma-server`) that is older
 /// than any `.rs` file it is built from under the repository root `root`:
 /// the `src/` trees of the library crates and `vendor/rand`, `src/lib.rs`,

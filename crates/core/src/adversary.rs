@@ -23,8 +23,9 @@
 //!   ascent is monotone; it converges to a (locally) optimal separable cheat
 //!   that dominates every named strategy it is seeded with.
 //!
-//! The optimised proof is then *fed back through the sampled round engines*
-//! ([`SwapTestChain::sample_rounds_with_workers`], lane-batched): a
+//! The optimised proof is then *fed back through the sampled round engine*
+//! (its [`SwapTestChain::round_plan`], lane-batched, through
+//! [`crate::trials::run_trials_with_workers`] at width 1): a
 //! [`SoundnessPoint`] charts measured acceptance (with Wilson interval)
 //! against the exact separable optimum, the spectral optimum where
 //! available, and the paper bound — the measured-vs-proved table of
@@ -39,6 +40,7 @@
 use crate::chain::{
     cheating_proof, ChainCheat, ChainRoundPlan, SeparableChainProof, SwapTestChain,
 };
+use crate::trials::run_trials_with_workers;
 use qsim::linalg::eigen::top_eigenpair;
 use qsim::{CMatrix, CVector, Complex, PureState};
 
@@ -441,7 +443,7 @@ pub struct SoundnessPoint {
 /// engine: the chart row of the measured-vs-proved table.
 pub fn soundness_point(chain: &SwapTestChain, trials: u64, seed: u64) -> SoundnessPoint {
     let opt = optimise_cheat(chain);
-    let report = chain.sample_rounds(&opt.proof, trials, seed);
+    let report = run_trials_with_workers(&chain.round_plan(&opt.proof), trials, seed, 1);
     SoundnessPoint {
         r: chain.path_length(),
         dim: chain.register_dim(),

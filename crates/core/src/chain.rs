@@ -23,9 +23,7 @@
 //!   arbitrary *entangled* proofs — the quantity the paper can only bound
 //!   analytically.
 
-use crate::trials::{
-    self, default_lane_width, BatchSampler, BlockRng, LaneBatched, TrialReport, MAX_LANES,
-};
+use crate::trials::{default_lane_width, BatchSampler, BlockRng, LaneBatched, MAX_LANES};
 use netsim::{CostTracker, ProtocolCosts};
 use qsim::linalg::max_eigenvalue;
 use qsim::plan::{KernelPlan, PlanScratch};
@@ -439,26 +437,6 @@ impl SwapTestChain {
     /// As [`SwapTestChain::round_plan`].
     pub fn net_program(&self, proof: &SeparableChainProof) -> crate::net::ChainNetProgram {
         crate::net::ChainNetProgram::new(self.round_plan(proof))
-    }
-
-    /// Batched Monte-Carlo rounds on a fixed separable proof: prepares the
-    /// round tables once and runs `n` trials through the block engine of
-    /// [`crate::trials`] — accept counts are bit-identical at any worker
-    /// count for a fixed `(proof, n, seed)`.
-    pub fn sample_rounds(&self, proof: &SeparableChainProof, n: u64, seed: u64) -> TrialReport {
-        trials::run_trials(&self.round_plan(proof), n, seed)
-    }
-
-    /// As [`SwapTestChain::sample_rounds`] with an explicit worker-slot
-    /// count (used by the determinism tests and the bench worker sweeps).
-    pub fn sample_rounds_with_workers(
-        &self,
-        proof: &SeparableChainProof,
-        n: u64,
-        seed: u64,
-        workers: usize,
-    ) -> TrialReport {
-        trials::run_trials_with_workers(&self.round_plan(proof), n, seed, workers)
     }
 
     /// Prepares the batched sampler for per-node *mixed* proofs: the
@@ -966,6 +944,7 @@ pub fn cheating_proof(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trials::{self, run_trials_with_workers};
     use qsim::{CVector, RandomStateGenerator};
 
     fn orthogonal_boundary(dim: usize) -> (PureState, CMatrix, PureState) {
@@ -1158,7 +1137,7 @@ mod tests {
         ] {
             let proof = cheating_proof(&chain, &right_state, strat);
             let exact = chain.acceptance_separable(&proof);
-            let report = chain.sample_rounds(&proof, 40_000, 7);
+            let report = run_trials_with_workers(&chain.round_plan(&proof), 40_000, 7, 1);
             let eps = report.hoeffding_radius(1e-9);
             assert!(
                 (report.acceptance_rate() - exact).abs() < eps,
@@ -1174,7 +1153,8 @@ mod tests {
     fn round_plan_honest_proof_accepts_every_trial() {
         let (left, effect) = matching_boundary(2);
         let chain = SwapTestChain::new(5, left, effect);
-        let report = chain.sample_rounds(&chain.honest_proof(), 10_000, 3);
+        let plan = chain.round_plan(&chain.honest_proof());
+        let report = run_trials_with_workers(&plan, 10_000, 3, 1);
         assert_eq!(report.accepts, report.trials, "perfect completeness");
     }
 
@@ -1182,11 +1162,11 @@ mod tests {
     fn round_plan_handles_the_degenerate_r1_chain() {
         let (left, effect, _) = orthogonal_boundary(2);
         let chain = SwapTestChain::new(1, left, effect);
-        let report = chain.sample_rounds(&Vec::new(), 1000, 5);
+        let report = run_trials_with_workers(&chain.round_plan(&Vec::new()), 1000, 5, 1);
         assert_eq!(report.accepts, 0, "orthogonal boundary never accepts");
         let (left, effect) = matching_boundary(2);
         let chain = SwapTestChain::new(1, left, effect);
-        let report = chain.sample_rounds(&Vec::new(), 1000, 5);
+        let report = run_trials_with_workers(&chain.round_plan(&Vec::new()), 1000, 5, 1);
         assert_eq!(report.accepts, 1000, "matching boundary always accepts");
     }
 
@@ -1222,13 +1202,14 @@ mod tests {
         let (left, effect, right_state) = orthogonal_boundary(2);
         let chain = SwapTestChain::new(4, left, effect);
         let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
-        let base = chain.sample_rounds_with_workers(&proof, 30_000, 11, 1);
+        let plan = chain.round_plan(&proof);
+        let base = run_trials_with_workers(&plan, 30_000, 11, 1);
         for workers in [2usize, 4, 8] {
-            let r = chain.sample_rounds_with_workers(&proof, 30_000, 11, workers);
+            let r = run_trials_with_workers(&plan, 30_000, 11, workers);
             assert_eq!(r.accepts, base.accepts, "worker count {workers}");
         }
         // Different seeds explore different outcome sequences.
-        let other = chain.sample_rounds_with_workers(&proof, 30_000, 12, 1);
+        let other = run_trials_with_workers(&plan, 30_000, 12, 1);
         assert_ne!(other.accepts, base.accepts);
     }
 
@@ -1242,7 +1223,7 @@ mod tests {
             .iter()
             .map(|(a, b)| DensityMatrix::from_pure(&a.tensor(b)))
             .collect();
-        let report = trials::run_trials(&chain.mixed_sampler(&mixed), 6000, 13);
+        let report = run_trials_with_workers(&chain.mixed_sampler(&mixed), 6000, 13, 1);
         let eps = report.hoeffding_radius(1e-9);
         assert!(
             (report.acceptance_rate() - exact).abs() < eps,
@@ -1267,8 +1248,8 @@ mod tests {
             .collect();
         let sampler = chain.mixed_sampler(&mixed);
         let n = 2 * trials::BLOCK_TRIALS;
-        let serial = trials::run_trials_with_workers(&sampler, n, 13, 1);
-        let pooled = trials::run_trials_with_workers(&sampler, n, 13, 4);
+        let serial = run_trials_with_workers(&sampler, n, 13, 1);
+        let pooled = run_trials_with_workers(&sampler, n, 13, 4);
         assert_eq!(pooled.workers, 2, "two blocks engage two slots");
         assert_eq!(
             (serial.trials, serial.accepts),

@@ -74,6 +74,8 @@ use crate::trials::{block_len, BlockOutcomes, BlockRng, BLOCK_TRIALS};
 /// * `tree <n> <len> <schedule> <roles>`: `len` schedule node ids, then
 ///   `n` roles, each `u` (unused), `l <parent>` (leaf) or
 ///   `i <parent|x> <c> <child:shift|child:x …> <p> <probs>` (internal).
+///   Every id is below `n`; an internal role with `k` shifted children
+///   gives them shifts in `1..=k` and carries `p = 2^(1+k)` probabilities.
 ///
 /// This is what the supervisor sends over the control channel
 /// (`program <tokens…>`) at launch, after a restart, and on a
@@ -323,22 +325,33 @@ impl ProgramSpec {
             "tree" => {
                 let n = tok.count("tree role")?;
                 let slen = tok.count("tree schedule")?;
+                // Every id a node runs as, sends to or hears from must name
+                // a role: a node indexes the role table and its transport's
+                // mailboxes by it.
+                let node = |what: &str, id: usize| {
+                    if id < n {
+                        Ok(id)
+                    } else {
+                        Err(format!("tree {what} {id} is not below the role count {n}"))
+                    }
+                };
                 let schedule = (0..slen)
-                    .map(|_| tok.usize())
+                    .map(|_| node("schedule id", tok.usize()?))
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut roles = Vec::with_capacity(n);
                 for _ in 0..n {
                     roles.push(match tok.expect()? {
                         "u" => TreeRole::Unused,
                         "l" => TreeRole::Leaf {
-                            parent: tok.usize()?,
+                            parent: node("leaf parent", tok.usize()?)?,
                         },
                         "i" => {
                             let parent = match tok.expect()? {
                                 "x" => None,
-                                p => {
-                                    Some(p.parse().map_err(|_| format!("bad parent token {p:?}"))?)
-                                }
+                                p => Some(node(
+                                    "internal parent",
+                                    p.parse().map_err(|_| format!("bad parent token {p:?}"))?,
+                                )?),
                             };
                             let nch = tok.count("tree child")?;
                             let mut children = Vec::with_capacity(nch);
@@ -354,9 +367,24 @@ impl ProgramSpec {
                                         s.parse().map_err(|_| format!("bad child shift {s:?}"))?,
                                     ),
                                 };
-                                children.push((c, shift));
+                                children.push((node("child id", c)?, shift));
+                            }
+                            // The `k` shifted children's coins sit at bits
+                            // 1..=k of the table index, the node's own at
+                            // bit 0, so the table has 2^(1+k) entries.
+                            let k = children.iter().filter(|(_, s)| s.is_some()).count();
+                            if let Some(s) = children
+                                .iter()
+                                .find_map(|&(_, s)| s.filter(|&s| s == 0 || s as usize > k))
+                            {
+                                return Err(format!("tree child shift {s} is outside 1..={k}"));
                             }
                             let np = tok.count("tree probability")?;
+                            if 1usize.checked_shl(k as u32 + 1) != Some(np) {
+                                return Err(format!(
+                                    "tree probability table has {np} entries, not 2^(1+{k})"
+                                ));
+                            }
                             let probs = (0..np)
                                 .map(|_| tok.f64_bits())
                                 .collect::<Result<Vec<_>, _>>()?;

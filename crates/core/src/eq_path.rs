@@ -10,7 +10,7 @@
 //! `1 − 4/(81 r²)`; `O(r²)` parallel repetitions push it below 1/3 with local
 //! proof and message size `O(r² log n)` (Theorem 19 specialised to a path).
 
-use crate::chain::{cheating_proof, ChainCheat, SwapTestChain};
+use crate::chain::{cheating_proof, ChainCheat, SeparableChainProof, SwapTestChain};
 use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
 use commproto::one_way::{EqOneWay, OneWayProtocol};
@@ -85,10 +85,22 @@ impl EqPathProtocol {
     /// Acceptance probability of a single repetition under a named cheating
     /// strategy on (not necessarily equal) inputs.
     pub fn single_round_acceptance(&self, x: &BitString, y: &BitString, cheat: ChainCheat) -> f64 {
+        let (chain, proof) = self.cheating_chain(x, y, cheat);
+        chain.acceptance_separable(&proof)
+    }
+
+    /// The chain of a single repetition on `(x, y)` and the proof a prover
+    /// playing `cheat` hands it.
+    fn cheating_chain(
+        &self,
+        x: &BitString,
+        y: &BitString,
+        cheat: ChainCheat,
+    ) -> (SwapTestChain, SeparableChainProof) {
         let chain = self.chain(x, y);
         let right_state = self.protocol.alice_message(y);
         let proof = cheating_proof(&chain, &right_state, cheat);
-        chain.acceptance_separable(&proof)
+        (chain, proof)
     }
 
     /// Acceptance probability of the full `k`-fold repetition assuming the
@@ -108,10 +120,11 @@ impl EqPathProtocol {
     ///
     /// This convenience wrapper also prepares the round's instance data
     /// (Alice's fingerprint, Bob's effect, the cheating proof) on every call.
-    /// Monte-Carlo loops over a *fixed* instance should use
-    /// [`EqPathProtocol::sample_rounds`], which hoists all of that — plus
-    /// the per-node overlap arithmetic — into a one-time
-    /// [`crate::chain::ChainRoundPlan`] and runs the batched trial engine.
+    /// Monte-Carlo loops over a *fixed* instance should compile it once with
+    /// [`EqPathProtocol::round_plan`], which hoists all of that — plus the
+    /// per-node overlap arithmetic — into a
+    /// [`crate::chain::ChainRoundPlan`], and run that plan through
+    /// [`crate::trials::run_trials_with_workers`].
     pub fn simulate_round<R: rand::Rng + ?Sized>(
         &self,
         x: &BitString,
@@ -119,9 +132,7 @@ impl EqPathProtocol {
         cheat: ChainCheat,
         rng: &mut R,
     ) -> bool {
-        let chain = self.chain(x, y);
-        let right_state = self.protocol.alice_message(y);
-        let proof = cheating_proof(&chain, &right_state, cheat);
+        let (chain, proof) = self.cheating_chain(x, y, cheat);
         chain.simulate_round(&proof, rng)
     }
 
@@ -134,86 +145,35 @@ impl EqPathProtocol {
         chain.simulate_round(&proof, rng)
     }
 
-    /// Batched Monte-Carlo rounds of a single repetition under a named
-    /// cheating strategy: the instance (Alice's fingerprint, Bob's effect,
-    /// the cheating proof) and the chain's round tables are prepared
-    /// **once**, then `n` sampled rounds run through the block engine of
-    /// [`crate::trials`] — `O(r)` table lookups per round, no per-round
-    /// state preparation, accept counts bit-identical at any worker count.
-    pub fn sample_rounds(
-        &self,
-        x: &BitString,
-        y: &BitString,
-        cheat: ChainCheat,
-        n: u64,
-        seed: u64,
-    ) -> crate::trials::TrialReport {
-        self.sample_rounds_with_workers(x, y, cheat, n, seed, crate::trials::default_workers())
-    }
-
-    /// As [`EqPathProtocol::sample_rounds`] with an explicit worker-slot
-    /// count (determinism tests, bench worker sweeps).
-    pub fn sample_rounds_with_workers(
-        &self,
-        x: &BitString,
-        y: &BitString,
-        cheat: ChainCheat,
-        n: u64,
-        seed: u64,
-        workers: usize,
-    ) -> crate::trials::TrialReport {
-        let chain = self.chain(x, y);
-        let right_state = self.protocol.alice_message(y);
-        let proof = cheating_proof(&chain, &right_state, cheat);
-        chain.sample_rounds_with_workers(&proof, n, seed, workers)
-    }
-
-    /// Compiles `(x, y, cheat)` into the same [`crate::chain::ChainRoundPlan`]
-    /// that [`EqPathProtocol::sample_rounds_with_workers`] drives internally.
-    /// Exposed so determinism tests and benches can run the plan through
-    /// [`crate::trials::with_lane_width`] (or toggle the SIMD executors) and
-    /// pin the results against the default engine bit-for-bit.
+    /// Compiles a single repetition on `(x, y)` under a named cheating
+    /// strategy into a [`crate::chain::ChainRoundPlan`]: the instance
+    /// (Alice's fingerprint, Bob's effect, the cheating proof) and the
+    /// chain's round tables are prepared **once**, so the batched trial
+    /// engine of [`crate::trials`] samples a round with `O(r)` table lookups
+    /// and no per-round state preparation, accept counts bit-identical at
+    /// any worker count. With `x == y` every cheat strategy degenerates to
+    /// the honest proof.
     pub fn round_plan(
         &self,
         x: &BitString,
         y: &BitString,
         cheat: ChainCheat,
     ) -> crate::chain::ChainRoundPlan {
-        let chain = self.chain(x, y);
-        let right_state = self.protocol.alice_message(y);
-        let proof = cheating_proof(&chain, &right_state, cheat);
+        let (chain, proof) = self.cheating_chain(x, y, cheat);
         chain.round_plan(&proof)
     }
 
     /// Compiles `(x, y, cheat)` into a per-node message-passing program for
-    /// the transport executors of [`crate::net`]: the same round tables as
-    /// [`EqPathProtocol::sample_rounds`], but walked one network node at a
-    /// time over a [`netsim::Transport`]. With `x == y` every cheat strategy
-    /// degenerates to the honest proof, so the same constructor covers
-    /// completeness runs.
+    /// the transport executors of [`crate::net`]: the tables of
+    /// [`EqPathProtocol::round_plan`], walked one network node at a time
+    /// over a [`netsim::Transport`].
     pub fn net_program(
         &self,
         x: &BitString,
         y: &BitString,
         cheat: ChainCheat,
     ) -> crate::net::ChainNetProgram {
-        let chain = self.chain(x, y);
-        let right_state = self.protocol.alice_message(y);
-        let proof = cheating_proof(&chain, &right_state, cheat);
-        crate::net::ChainNetProgram::new(chain.round_plan(&proof))
-    }
-
-    /// Batched honest rounds on a yes-instance; every round accepts (up to
-    /// floating-point error), so `accepts == trials` for a correct sampler.
-    pub fn sample_honest_rounds(
-        &self,
-        x: &BitString,
-        n: u64,
-        seed: u64,
-    ) -> crate::trials::TrialReport {
-        let chain = self.chain(x, x);
-        let proof = chain.honest_proof();
-        chain.sample_rounds(&proof, n, seed)
+        crate::net::ChainNetProgram::new(self.round_plan(x, y, cheat))
     }
 
     /// Exact soundness error of a single repetition against arbitrary

@@ -19,9 +19,7 @@ use qsim::PureState;
 
 use crate::chain::SwapTestChain;
 use crate::eq_path::scale_costs;
-use crate::trials::{
-    self, default_lane_width, BatchSampler, BlockRng, LaneBatched, TrialReport, MAX_LANES,
-};
+use crate::trials::{default_lane_width, BatchSampler, BlockRng, LaneBatched, MAX_LANES};
 use rand::Rng;
 
 /// The EQ protocol on a general network, running on the announced terminal
@@ -385,34 +383,6 @@ impl EqTreeProtocol {
         TreeRoundPlan { nodes }
     }
 
-    /// Batched Monte-Carlo rounds on a fixed `(inputs, proof)` instance:
-    /// prepares the per-node acceptance tables once (see
-    /// [`EqTreeProtocol::round_plan`]) and runs `n` trials through the block
-    /// engine of [`crate::trials`] — accept counts bit-identical at any
-    /// worker count.
-    pub fn sample_rounds(
-        &self,
-        inputs: &[BitString],
-        proof: &[(PureState, PureState)],
-        n: u64,
-        seed: u64,
-    ) -> TrialReport {
-        trials::run_trials(&self.round_plan(inputs, proof), n, seed)
-    }
-
-    /// As [`EqTreeProtocol::sample_rounds`] with an explicit worker-slot
-    /// count.
-    pub fn sample_rounds_with_workers(
-        &self,
-        inputs: &[BitString],
-        proof: &[(PureState, PureState)],
-        n: u64,
-        seed: u64,
-        workers: usize,
-    ) -> TrialReport {
-        trials::run_trials_with_workers(&self.round_plan(inputs, proof), n, seed, workers)
-    }
-
     /// Compiles a fixed `(inputs, proof)` instance into a per-node
     /// message-passing program for the transport executors of
     /// [`crate::net`]: leaves send their fingerprint token towards the root,
@@ -609,6 +579,7 @@ impl BatchSampler for TreeRoundPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trials::run_trials_with_workers;
     use netsim::topology;
 
     fn spider_protocol(legs: usize, leg_len: usize, n: usize) -> (EqTreeProtocol, Vec<usize>) {
@@ -723,21 +694,23 @@ mod tests {
         inputs[1] = y;
         let proof = proto.uniform_proof(&x);
         let exact = proto.acceptance_separable(&inputs, &proof);
-        let report = proto.sample_rounds(&inputs, &proof, 40_000, 17);
+        let plan = proto.round_plan(&inputs, &proof);
+        let report = run_trials_with_workers(&plan, 40_000, 17, 1);
         let eps = report.hoeffding_radius(1e-9);
         assert!(
             (report.acceptance_rate() - exact).abs() < eps,
             "batched tree rate {} vs exact {exact}",
             report.acceptance_rate()
         );
-        let base = proto.sample_rounds_with_workers(&inputs, &proof, 20_000, 23, 1);
+        let base = run_trials_with_workers(&plan, 20_000, 23, 1);
         for workers in [2usize, 4] {
-            let r = proto.sample_rounds_with_workers(&inputs, &proof, 20_000, 23, workers);
+            let r = run_trials_with_workers(&plan, 20_000, 23, workers);
             assert_eq!(r.accepts, base.accepts, "worker count {workers}");
         }
         // Honest rounds: every trial accepts.
         let honest_inputs = vec![x.clone(); terminals.len()];
-        let honest = proto.sample_rounds(&honest_inputs, &proof, 5000, 29);
+        let honest_plan = proto.round_plan(&honest_inputs, &proof);
+        let honest = run_trials_with_workers(&honest_plan, 5000, 29, 1);
         assert_eq!(honest.accepts, honest.trials);
     }
 

@@ -34,12 +34,13 @@
 //!   round paths re-expressed as per-node programs with retry/timeout/
 //!   backoff, graceful degradation to [`netsim::RoundOutcome::Aborted`], and
 //!   block-deterministic fault-sweep sampling;
-//! * [`trials`] — the batched zero-allocation Monte-Carlo trial engine: all
-//!   four protocol samplers grow `sample_rounds(n, seed)` batch variants
-//!   that prepare the instance once, dispatch fixed-size trial blocks over
-//!   the persistent [`qsim::pool`] workers with counter-derived per-block
-//!   RNG streams (accept counts bit-identical at any worker count), and
-//!   return a [`trials::TrialReport`] with Wilson/Hoeffding intervals and
+//! * [`trials`] — the batched zero-allocation Monte-Carlo trial engine: each
+//!   protocol compiles an instance once into a round plan (`round_plan`),
+//!   and [`trials::run_trials_with_workers`] dispatches fixed-size trial
+//!   blocks of it over as many [`qsim::pool`] workers as the caller asks
+//!   for, with counter-derived per-block RNG streams (accept counts
+//!   bit-identical at any worker count), returning a
+//!   [`trials::TrialReport`] with Wilson/Hoeffding intervals and
 //!   rounds/sec;
 //! * [`service`] — the overload-hardened verification service behind
 //!   `dqma-server`/`dqma-cli`: one facade over instance construction and

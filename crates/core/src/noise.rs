@@ -254,7 +254,7 @@ fn unit_f64(x: u64) -> f64 {
 /// (`noisy_transport_r8`), where a round's cost is dominated by the
 /// envelope machinery rather than the table walk.
 ///
-/// Runs through [`crate::trials::run_trials`] (it implements
+/// Runs through [`crate::trials::run_trials_with_workers`] (it implements
 /// [`BatchSampler`] and [`LaneBatched`]) and, via
 /// [`NoisyChainSampler::transport_sampler`], through the fault-injecting
 /// message-passing runtime of [`crate::net`].
@@ -793,7 +793,7 @@ impl OutcomeSampler for NoisyTransportSampler<'_> {
 mod tests {
     use super::*;
     use crate::net::sample_transport_rounds;
-    use crate::trials::{run_trials, run_trials_with_workers, stats};
+    use crate::trials::{run_trials_with_workers, stats};
     use qsim::{CMatrix, PureState};
 
     fn honest_chain(r: usize, dim: usize) -> (SwapTestChain, SeparableChainProof) {
@@ -816,8 +816,8 @@ mod tests {
         let (chain, proof) = honest_chain(6, 2);
         let noisy = NoisyChainSampler::new(&chain, &proof, &NoisePlan::quiet());
         assert!(noisy.is_quiet());
-        let base = chain.sample_rounds(&proof, 30_000, 11);
-        let quiet = run_trials(&noisy, 30_000, 11);
+        let base = run_trials_with_workers(&chain.round_plan(&proof), 30_000, 11, 1);
+        let quiet = run_trials_with_workers(&noisy, 30_000, 11, 1);
         assert_eq!(base.accepts, quiet.accepts);
     }
 
@@ -838,7 +838,7 @@ mod tests {
                 channel.label(),
                 noisy.exact_acceptance()
             );
-            let report = run_trials(&noisy, 5_000, 3);
+            let report = run_trials_with_workers(&noisy, 5_000, 3, 1);
             assert_eq!(report.accepts, 5_000, "{}", channel.label());
         }
     }
@@ -851,7 +851,7 @@ mod tests {
         let exact = noisy.exact_acceptance();
         assert!(exact < 1.0 - 1e-3, "depolarizing must cost completeness");
         let n = 60_000u64;
-        let report = run_trials(&noisy, n, 5);
+        let report = run_trials_with_workers(&noisy, n, 5, 1);
         let margin = stats::hoeffding_margin(n);
         assert!(
             (report.acceptance_rate() - exact).abs() < margin,
@@ -940,7 +940,7 @@ mod tests {
         let exact = noisy.exact_acceptance();
         assert!((exact - (1.0 - 0.15)).abs() < 1e-12, "{exact}");
         let n = 40_000u64;
-        let report = run_trials(&noisy, n, 2);
+        let report = run_trials_with_workers(&noisy, n, 2, 1);
         assert!((report.acceptance_rate() - exact).abs() < stats::hoeffding_margin(n));
     }
 }

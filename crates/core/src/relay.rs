@@ -12,9 +12,7 @@
 //! string) and the classical lower bound `Ω(r·n)` of Section 4.2.
 
 use crate::chain::{cheating_proof, ChainCheat, ChainRoundPlan, SwapTestChain};
-use crate::trials::{
-    self, default_lane_width, BatchSampler, BlockRng, LaneBatched, TrialReport, MAX_LANES,
-};
+use crate::trials::{default_lane_width, BatchSampler, BlockRng, LaneBatched, MAX_LANES};
 use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
 use netsim::ProtocolCosts;
@@ -231,9 +229,9 @@ impl RelayEqProtocol {
     /// segment. As in the protocol, every sampled round re-prepares each
     /// segment's boundary states (fingerprints, Bob's effect) and proof, so
     /// the per-round cost is dominated by that preparation; Monte-Carlo
-    /// loops over a fixed instance should use
-    /// [`RelayEqProtocol::sample_rounds`], which compiles every segment into
-    /// a [`ChainRoundPlan`] once and runs the batched trial engine.
+    /// loops over a fixed instance should compile every segment into a
+    /// [`ChainRoundPlan`] once with [`RelayEqProtocol::round_plan`] and run
+    /// that plan through [`crate::trials::run_trials_with_workers`].
     pub fn simulate_round<R: rand::Rng + ?Sized>(
         &self,
         x: &BitString,
@@ -296,43 +294,6 @@ impl RelayEqProtocol {
         crate::net::RelayNetProgram::new(
             &self.round_plan(x, y, relay_strings, cheat),
             &self.segment_boundaries(),
-        )
-    }
-
-    /// Batched Monte-Carlo rounds (one repetition of every segment per
-    /// round) on a fixed relay instance: segments are compiled once, then
-    /// `n` trials run through the block engine of [`crate::trials`] —
-    /// accept counts bit-identical at any worker count.
-    pub fn sample_rounds(
-        &self,
-        x: &BitString,
-        y: &BitString,
-        relay_strings: &[BitString],
-        cheat: ChainCheat,
-        n: u64,
-        seed: u64,
-    ) -> TrialReport {
-        trials::run_trials(&self.round_plan(x, y, relay_strings, cheat), n, seed)
-    }
-
-    /// As [`RelayEqProtocol::sample_rounds`] with an explicit worker-slot
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_rounds_with_workers(
-        &self,
-        x: &BitString,
-        y: &BitString,
-        relay_strings: &[BitString],
-        cheat: ChainCheat,
-        n: u64,
-        seed: u64,
-        workers: usize,
-    ) -> TrialReport {
-        trials::run_trials_with_workers(
-            &self.round_plan(x, y, relay_strings, cheat),
-            n,
-            seed,
-            workers,
         )
     }
 
@@ -486,6 +447,7 @@ impl BatchSampler for RelayRoundPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trials::{self, run_trials_with_workers};
 
     #[test]
     fn lane_walk_reads_the_round_walks_stream_positions() {
@@ -566,12 +528,14 @@ mod tests {
         let y = BitString::from_u64(4, 4);
         let honest = vec![x.clone(); proto.relay_points().len()];
         // Yes-instance: every batched trial accepts.
-        let yes = proto.sample_rounds(&x, &x, &honest, ChainCheat::AllLeft, 5000, 31);
+        let yes_plan = proto.round_plan(&x, &x, &honest, ChainCheat::AllLeft);
+        let yes = run_trials_with_workers(&yes_plan, 5000, 31, 1);
         assert_eq!(yes.accepts, yes.trials);
         // No-instance: the batched rate agrees with the sequential sampler
         // within the combined Hoeffding margins.
         let trials = 20_000u64;
-        let report = proto.sample_rounds(&x, &y, &honest, ChainCheat::Interpolate, trials, 37);
+        let plan = proto.round_plan(&x, &y, &honest, ChainCheat::Interpolate);
+        let report = run_trials_with_workers(&plan, trials, 37, 1);
         let mut rng = StdRng::seed_from_u64(41);
         let seq = (0..trials)
             .filter(|_| proto.simulate_round(&x, &y, &honest, ChainCheat::Interpolate, &mut rng))
@@ -585,32 +549,11 @@ mod tests {
         );
         assert_eq!(report.trials, trials);
         // Worker invariance.
-        let base = proto.sample_rounds_with_workers(
-            &x,
-            &y,
-            &honest,
-            ChainCheat::Interpolate,
-            trials,
-            37,
-            1,
-        );
-        let pooled = proto.sample_rounds_with_workers(
-            &x,
-            &y,
-            &honest,
-            ChainCheat::Interpolate,
-            trials,
-            37,
-            4,
-        );
+        let base = run_trials_with_workers(&plan, trials, 37, 1);
+        let pooled = run_trials_with_workers(&plan, trials, 37, 4);
         assert_eq!(base.accepts, report.accepts);
         assert_eq!(pooled.accepts, report.accepts);
-        assert_eq!(
-            proto
-                .round_plan(&x, &y, &honest, ChainCheat::Interpolate)
-                .num_segments(),
-            proto.segment_boundaries().len() - 1
-        );
+        assert_eq!(plan.num_segments(), proto.segment_boundaries().len() - 1);
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! the trials into fixed-size blocks dispatched over the persistent
 //! [`qsim::pool`] workers.
 //!
+//! Three runners drive a plan: [`run_trials_with_workers`] (accept counts,
+//! over an explicit number of pool slots), [`run_outcome_trials_with_workers`]
+//! (three-way outcomes and a transcript digest, for transport-backed
+//! rounds), and [`run_trials_observed`] (serial, block by block, with a
+//! deadline and the journal hooks of [`crate::service`]). The width is
+//! always an argument: callers build the plan once and pass the number of
+//! workers they want, `1` for an inline run.
+//!
 //! # Determinism across worker counts (and lane widths)
 //!
 //! Every block of [`BLOCK_TRIALS`] trials owns RNG streams derived *from
@@ -404,29 +412,11 @@ impl TrialReport {
     }
 }
 
-/// Default dispatch width: the pool's worker policy when the `parallel`
-/// feature is enabled, serial otherwise. Explicit widths are always
-/// available through [`run_trials_with_workers`].
-pub fn default_workers() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        qsim::pool::worker_count()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
-
-/// Runs `n` trials of `sampler` under master seed `seed` at the default
-/// width. See [`run_trials_with_workers`].
-pub fn run_trials<S: BatchSampler>(sampler: &S, n: u64, seed: u64) -> TrialReport {
-    run_trials_with_workers(sampler, n, seed, default_workers())
-}
-
 /// Runs `n` trials of `sampler` under master seed `seed`, dispatched over at
-/// most `workers` pool slots. The accept count is identical for every
-/// `workers` value (see the module docs); only the wall clock changes.
+/// most `workers` pool slots (`1` runs inline on the calling thread). The
+/// accept count is identical for every `workers` value (see the module
+/// docs); only the wall clock changes, so the width is the caller's choice.
+/// The report's `elapsed` covers this call only, not building `sampler`.
 pub fn run_trials_with_workers<S: BatchSampler>(
     sampler: &S,
     n: u64,
@@ -490,8 +480,9 @@ where
 /// completed — a *partial* report whose `trials` field may be any prefix
 /// `k · BLOCK_TRIALS ≤ n` of the request (plus the short tail block when the
 /// run completes). Because blocks run strictly in order, the completed
-/// prefix is bit-identical to the same prefix of an unbounded [`run_trials`]:
-/// deadline expiry never changes *which* rounds were sampled, only how many.
+/// prefix is bit-identical to the same prefix of an unbounded
+/// [`run_trials_with_workers`] run at any width: deadline expiry never
+/// changes *which* rounds were sampled, only how many.
 /// This is the property the serving layer's crash-recovery journal relies
 /// on (see [`crate::service`]).
 ///
@@ -755,15 +746,15 @@ mod tests {
     #[test]
     fn different_seeds_give_different_streams() {
         let coin = Coin { p: 0.5 };
-        let a = run_trials(&coin, 2 * BLOCK_TRIALS, 1);
-        let b = run_trials(&coin, 2 * BLOCK_TRIALS, 2);
+        let a = run_trials_with_workers(&coin, 2 * BLOCK_TRIALS, 1, 1);
+        let b = run_trials_with_workers(&coin, 2 * BLOCK_TRIALS, 2, 1);
         assert_ne!(a.accepts, b.accepts, "distinct seeds should diverge");
     }
 
     #[test]
     fn rate_tracks_the_true_probability() {
         let coin = Coin { p: 0.25 };
-        let r = run_trials(&coin, 100_000, 7);
+        let r = run_trials_with_workers(&coin, 100_000, 7, 1);
         let eps = r.hoeffding_radius(1e-9);
         assert!(
             (r.acceptance_rate() - 0.25).abs() < eps,
@@ -777,13 +768,13 @@ mod tests {
     #[test]
     fn partial_last_block_and_empty_runs_are_handled() {
         let coin = Coin { p: 1.0 };
-        let r = run_trials(&coin, BLOCK_TRIALS + 17, 3);
+        let r = run_trials_with_workers(&coin, BLOCK_TRIALS + 17, 3, 1);
         assert_eq!(r.accepts, BLOCK_TRIALS + 17);
-        let zero = run_trials(&coin, 0, 3);
+        let zero = run_trials_with_workers(&coin, 0, 3, 1);
         assert_eq!(zero.trials, 0);
         assert_eq!(zero.accepts, 0);
         assert_eq!(zero.acceptance_rate(), 0.0);
-        let small = run_trials(&coin, 5, 3);
+        let small = run_trials_with_workers(&coin, 5, 3, 1);
         assert_eq!(small.accepts, 5);
     }
 
@@ -855,7 +846,7 @@ mod tests {
         // Sub-block run: one short block.
         assert_eq!(block_len(5, 1, 0), 5);
         // Engine-level pin of the exact-multiple boundary: totals add up.
-        let r = run_trials(&Coin { p: 1.0 }, 2 * BLOCK_TRIALS, 3);
+        let r = run_trials_with_workers(&Coin { p: 1.0 }, 2 * BLOCK_TRIALS, 3, 1);
         assert_eq!(r.accepts, 2 * BLOCK_TRIALS);
     }
 
@@ -971,7 +962,7 @@ mod tests {
 
     #[test]
     fn stats_module_matches_report_methods() {
-        let r = run_trials(&Coin { p: 0.5 }, 10_000, 5);
+        let r = run_trials_with_workers(&Coin { p: 0.5 }, 10_000, 5, 1);
         assert_eq!(r.hoeffding_radius(1e-9), stats::hoeffding_margin(r.trials));
         assert_eq!(
             r.wilson_interval(1.96),
@@ -983,10 +974,10 @@ mod tests {
 
     #[test]
     fn wilson_interval_stays_in_bounds_at_the_boundary() {
-        let always = run_trials(&Coin { p: 1.0 }, 1000, 11);
+        let always = run_trials_with_workers(&Coin { p: 1.0 }, 1000, 11, 1);
         let (lo, hi) = always.wilson_interval(1.96);
         assert!(hi <= 1.0 && lo > 0.9, "interval ({lo}, {hi})");
-        let never = run_trials(&Coin { p: 0.0 }, 1000, 11);
+        let never = run_trials_with_workers(&Coin { p: 0.0 }, 1000, 11, 1);
         let (lo, hi) = never.wilson_interval(1.96);
         assert!(lo >= 0.0 && hi < 0.1, "interval ({lo}, {hi})");
     }

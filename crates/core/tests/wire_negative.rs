@@ -6,10 +6,12 @@
 //!
 //! The contract under test is uniform: **every** malformed frame —
 //! truncated at any token boundary, corrupted at any token, or carrying an
-//! oversized count or an out-of-cap parameter — must come back as a
-//! structured `Err`, never a panic and never an attacker-sized allocation.
-//! The tests are table-driven over real encodings, so they track the codecs
-//! as they grow.
+//! oversized count, an out-of-range id or an out-of-cap parameter — must
+//! come back as a structured `Err`, never a panic and never an
+//! attacker-sized allocation. A program frame that does decode must also
+//! run: one round of it may fault, but no node may panic on it. The tests
+//! are table-driven over real encodings, so they track the codecs as they
+//! grow.
 
 use commproto::bitstring::BitString;
 use commproto::fingerprint::FingerprintScheme;
@@ -17,9 +19,11 @@ use dqma::chain::ChainCheat;
 use dqma::cluster::{NodeConfig, ProgramSpec};
 use dqma::eq_path::EqPathProtocol;
 use dqma::eq_tree::EqTreeProtocol;
+use dqma::net::{run_round, RoundProgram};
 use dqma::relay::RelayEqProtocol;
 use dqma::service::JobSpec;
-use netsim::topology;
+use dqma::trials::BlockRng;
+use netsim::{topology, FaultCause, FaultReport, LocalChannelTransport, RetryPolicy, RoundOutcome};
 
 /// One real encoding per program shape, produced by the actual encoders so
 /// the negative tables can never drift from the wire format.
@@ -55,6 +59,24 @@ fn sample_program_specs() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// Runs one round of a decoded program over the in-process transport, one
+/// mailbox per role, and fails if a node panicked: a frame the decoder
+/// accepts must be one the nodes can run.
+fn assert_runs_without_a_node_panic(label: &str, frame: &str, spec: &ProgramSpec) {
+    let program = spec.program();
+    let mut transport = LocalChannelTransport::poll(program.num_nodes());
+    let trial = BlockRng::new(0x5EED, 0).trial(0);
+    let (outcome, _) = run_round(program, &mut transport, &RetryPolicy::default(), trial);
+    if let RoundOutcome::Aborted(FaultReport {
+        node,
+        cause: FaultCause::NodePanicked,
+        ..
+    }) = outcome
+    {
+        panic!("{label}: node {node} panicked running the decoded frame {frame:?}");
+    }
+}
+
 #[test]
 fn program_specs_roundtrip_through_their_wire_form() {
     for (label, line) in sample_program_specs() {
@@ -87,11 +109,21 @@ fn truncation_at_every_token_boundary_is_an_error_never_a_panic() {
 }
 
 /// Corrupting any single token must be a structured error or a valid
-/// different spec — never a panic. Each token is replaced by several
-/// hostile substitutes (non-numeric, negative, non-hex, huge).
+/// different spec that runs without a node panic — never a panic. Each
+/// token is replaced by several hostile substitutes (non-numeric, negative,
+/// non-hex, huge, and an id past every sample's role count).
 #[test]
 fn single_token_corruption_is_an_error_never_a_panic() {
-    let substitutes = ["zz", "-1", "18446744073709551616", "NaN", ":", "1e999", ""];
+    let substitutes = [
+        "zz",
+        "-1",
+        "18446744073709551616",
+        "NaN",
+        ":",
+        "1e999",
+        "",
+        "99",
+    ];
     for (label, line) in sample_program_specs() {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         for i in 0..tokens.len() {
@@ -100,10 +132,12 @@ fn single_token_corruption_is_an_error_never_a_panic() {
                 mutated[i] = sub;
                 let frame = mutated.join(" ");
                 let result = std::panic::catch_unwind(|| ProgramSpec::decode(&frame));
-                assert!(
-                    result.is_ok(),
-                    "{label}: decode panicked with token {i} replaced by {sub:?}"
-                );
+                let decoded = result.unwrap_or_else(|_| {
+                    panic!("{label}: decode panicked with token {i} replaced by {sub:?}")
+                });
+                if let Ok(spec) = decoded {
+                    assert_runs_without_a_node_panic(label, &frame, &spec);
+                }
             }
         }
     }
@@ -178,9 +212,52 @@ fn unknown_kinds_and_bad_roles_are_structured_errors() {
     }
 }
 
+/// Tree frames that are well formed token by token but whose ids or tables
+/// do not fit the role count: each would index past the role table, a
+/// mailbox or a probability table when its nodes run, so decode must
+/// refuse it and name the field. `p1`, `p2` and `p4` are 1, 2 and 4
+/// probability tokens.
+#[test]
+fn tree_ids_shifts_and_tables_out_of_range_are_structured_errors() {
+    let probs = |n: usize| vec!["3ff0000000000000"; n].join(" ");
+    let (p1, p2, p4) = (probs(1), probs(2), probs(4));
+    for (frame, field) in [
+        // A root with no table at all, so its own coin indexes past it.
+        ("tree 1 1 0 i x 0 0".to_string(), "probability"),
+        (format!("tree 1 1 0 i x 0 1 {p1}"), "probability"),
+        (format!("tree 1 1 1 i x 0 2 {p2}"), "schedule id"),
+        (format!("tree 2 2 0 1 l 2 i x 1 0:x 2 {p2}"), "leaf parent"),
+        (
+            format!("tree 2 2 0 1 l 1 i 2 1 0:x 2 {p2}"),
+            "internal parent",
+        ),
+        (format!("tree 2 2 0 1 l 1 i x 1 2:x 2 {p2}"), "child id"),
+        (format!("tree 2 2 0 1 u i x 1 0:1 2 {p2}"), "probability"),
+        (format!("tree 2 2 0 1 u i x 1 0:2 4 {p4}"), "shift"),
+        (format!("tree 2 2 0 1 u i x 1 0:0 4 {p4}"), "shift"),
+    ] {
+        let result = std::panic::catch_unwind(|| ProgramSpec::decode(&frame));
+        let decoded = result.unwrap_or_else(|_| panic!("decode panicked on {frame:?}"));
+        let err = decoded.expect_err(&frame);
+        assert!(
+            err.contains(field),
+            "{frame:?}: error {err:?} does not name the {field}"
+        );
+    }
+    // In range, the same shapes decode and run.
+    for frame in [
+        format!("tree 2 2 0 1 l 1 i x 1 0:x 2 {p2}"),
+        format!("tree 2 2 0 1 u i x 1 0:1 4 {p4}"),
+    ] {
+        let spec = ProgramSpec::decode(&frame).unwrap_or_else(|e| panic!("{frame:?}: {e}"));
+        assert_runs_without_a_node_panic("in range", &frame, &spec);
+    }
+}
+
 /// Deterministic mutation fuzz: byte-level corruption (flips, deletions,
-/// duplications) of real encodings must never panic the decoder. A simple
-/// LCG drives the mutations so failures replay exactly.
+/// duplications) of real encodings must never panic the decoder, nor a
+/// node running what it decodes. A simple LCG drives the mutations so
+/// failures replay exactly.
 #[test]
 fn mutation_fuzz_never_panics_the_decoder() {
     let mut state: u64 = 0x5EED_CAFE;
@@ -220,10 +297,12 @@ fn mutation_fuzz_never_panics_the_decoder() {
             let Ok(frame) = String::from_utf8(mutated) else {
                 continue;
             };
-            let result = std::panic::catch_unwind(|| {
-                let _ = ProgramSpec::decode(&frame);
-            });
-            assert!(result.is_ok(), "{label}: decoder panicked on {frame:?}");
+            let result = std::panic::catch_unwind(|| ProgramSpec::decode(&frame));
+            let decoded =
+                result.unwrap_or_else(|_| panic!("{label}: decoder panicked on {frame:?}"));
+            if let Ok(spec) = decoded {
+                assert_runs_without_a_node_panic(label, &frame, &spec);
+            }
         }
     }
 }

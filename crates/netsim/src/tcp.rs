@@ -361,6 +361,11 @@ pub struct TcpTransport {
     /// Each peer's address, connection and replay frames.
     peers: HashMap<NodeId, Peer>,
     mail: Mail,
+    /// The epoch this owner last entered, which stamps its outgoing frames.
+    /// Only the owner moves the epoch, so this copy always equals
+    /// `MailState::epoch`, and `send` reads it without taking the lock the
+    /// connection handlers push frames under.
+    epoch: u64,
     /// Virtual clock mirrored by the wall: reset each trial, advanced by
     /// elapsed wall time on every blocking operation.
     vclock: VTime,
@@ -392,6 +397,7 @@ impl TcpTransport {
             listener_addr,
             peers: HashMap::new(),
             mail,
+            epoch: 0,
             vclock: 0,
             shutdown,
         })
@@ -432,10 +438,12 @@ impl TcpTransport {
     /// Moves the mailbox to `next(current epoch)` and resets the virtual
     /// clock.
     fn enter_epoch(&mut self, next: impl FnOnce(u64) -> u64) {
-        let mut mail = self.mail.0.lock().expect("mailbox lock poisoned");
-        let epoch = next(mail.epoch);
-        mail.set_epoch(epoch);
-        drop(mail);
+        self.epoch = next(self.epoch);
+        self.mail
+            .0
+            .lock()
+            .expect("mailbox lock poisoned")
+            .set_epoch(self.epoch);
         self.vclock = 0;
     }
 
@@ -446,24 +454,20 @@ impl TcpTransport {
         flush_peers(&mut self.peers);
     }
 
-    /// The current trial epoch.
-    pub fn epoch(&self) -> u64 {
-        self.mail.0.lock().expect("mailbox lock poisoned").epoch
-    }
-
     fn advance_vclock(&mut self, start: Instant) -> VTime {
         let elapsed_v = (start.elapsed().as_nanos() as u64) / self.cfg.nanos_per_vns.max(1);
         self.vclock = self.vclock.saturating_add(elapsed_v.max(1));
         self.vclock
     }
 
-    /// One send attempt into `env.dst`'s window. Any failure drops the
-    /// connection (keeping its replay frames) and returns `Err`.
-    fn try_send(&mut self, env: &Envelope, epoch: u64, budget: Duration) -> io::Result<()> {
+    /// One send attempt into `env.dst`'s window, stamped with the current
+    /// epoch. Any failure drops the connection (keeping its replay frames)
+    /// and returns `Err`.
+    fn try_send(&mut self, env: &Envelope, budget: Duration) -> io::Result<()> {
         let data: DataFrame = frame(
             KIND_DATA,
             &[
-                &epoch.to_le_bytes(),
+                &self.epoch.to_le_bytes(),
                 &(env.src as u32).to_le_bytes(),
                 &(env.dst as u32).to_le_bytes(),
                 &env.seq.to_le_bytes(),
@@ -505,8 +509,7 @@ impl Transport for TcpTransport {
         let start = Instant::now();
         self.vclock = self.vclock.max(now);
         let budget = self.cfg.wall(ack_deadline.saturating_sub(self.vclock));
-        let epoch = self.epoch();
-        match self.try_send(env, epoch, budget) {
+        match self.try_send(env, budget) {
             Ok(()) => SendOutcome::Acked(self.advance_vclock(start)),
             Err(_) => {
                 // Consume the rest of the window so the caller's backoff

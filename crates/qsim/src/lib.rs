@@ -127,12 +127,12 @@
 //!   threads (std only; rayon is deliberately not a dependency: this
 //!   workspace builds offline) with chunked index-range dispatch, slot ids
 //!   that one thread drives at a time (so per-slot scratch is never
-//!   contended) and a memoised `QSIM_PARALLEL_THREADS`-or-host worker-count
-//!   policy
-//!   ([`pool::worker_count`]). The batched Monte-Carlo trial engines of the
-//!   `dqma` crate drive it for millions-of-rounds sweeps, one block of trials
-//!   per chunk; the kernels themselves stay single-threaded. The pool is
-//!   always compiled, and accept counts do not depend on its width.
+//!   contended), and threads spawned lazily up to the width each dispatch
+//!   asks for. The batched Monte-Carlo trial engines of the `dqma` crate
+//!   drive it for millions-of-rounds sweeps, one block of trials per chunk,
+//!   at the width their caller passes; the kernels themselves stay
+//!   single-threaded. The pool is always compiled, and accept counts do not
+//!   depend on its width.
 //!
 //! The pre-kernel implementations survive in [`naive`] as reference oracles:
 //! randomized property tests pin the kernels to them within `1e-12`, and the

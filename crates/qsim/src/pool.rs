@@ -30,11 +30,9 @@
 //!   submitter's stack).
 //! * **Lazy growth.** Threads are spawned on first demand and grow up to the
 //!   requested worker count, so a process that never dispatches never pays
-//!   for the pool. [`worker_count`] (the `QSIM_PARALLEL_THREADS`-or-host
-//!   policy, memoised — the pool owns this value, callers should not re-read
-//!   the environment) only sets the *default* width; callers may request any
-//!   explicit width, which benchmarks use to sweep 1/2/4/8 workers in one
-//!   process.
+//!   for the pool. The pool has no default width: every [`WorkerPool::dispatch`]
+//!   names its own, which is how benchmarks sweep 1/2/4/8 workers in one
+//!   process and how a caller that wants no threads (width 1) gets none.
 //!
 //! Determinism: the pool itself guarantees nothing about chunk→slot
 //! assignment (it is dynamic by design). Callers that need bit-reproducible
@@ -50,28 +48,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Default worker count: `QSIM_PARALLEL_THREADS` when set to a positive
-/// integer (a testability/tuning override), otherwise the host parallelism.
-///
-/// Read from the environment **once** and memoised for the life of the
-/// process — the previous per-call `std::env::var` showed up in sub-µs kernel
-/// profiles. The pool owns this value; benchmark harnesses should label their
-/// reports with it instead of re-deriving the policy.
-pub fn worker_count() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("QSIM_PARALLEL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
-}
 
 /// The process-wide pool, created on first use.
 pub fn global() -> &'static WorkerPool {
@@ -524,14 +500,6 @@ mod tests {
         assert_eq!(contended.load(Ordering::Relaxed), 0, "a slot was shared");
         let total: u64 = slots.into_iter().map(|m| m.into_inner().unwrap()).sum();
         assert_eq!(total, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn worker_count_is_positive_and_stable() {
-        let a = worker_count();
-        let b = worker_count();
-        assert!(a >= 1);
-        assert_eq!(a, b, "memoised policy must not change between calls");
     }
 
     #[test]

@@ -36,6 +36,7 @@ use dqma::adversary::{self, SoundnessPoint};
 use dqma::chain::{cheating_proof, ChainCheat, SwapTestChain};
 use dqma::eq_path::EqPathProtocol;
 use dqma::noise::{NoiseChannel, NoisePlan, NoisyChainSampler};
+use dqma::trials::run_trials_with_workers;
 use dqma::trials::stats::hoeffding_margin;
 use netsim::{topology, FaultPlan, RetryPolicy};
 use qsim::{CMatrix, PureState};
@@ -188,7 +189,7 @@ fn honest_completeness_survives_noise_below_the_documented_threshold() {
              noise-free cheat optimum {}",
             cheat.acceptance
         );
-        let report = dqma::trials::run_trials(&sampler, TRIALS, 0xA0 + (p * 1000.0) as u64);
+        let report = run_trials_with_workers(&sampler, TRIALS, 0xA0 + (p * 1000.0) as u64, 1);
         assert!(
             (report.acceptance_rate() - exact).abs() < eps,
             "p={p}: sampled completeness {} vs exact {exact} (margin {eps})",
@@ -221,7 +222,7 @@ fn toggling_noise_off_reproduces_the_noise_free_engine_bit_exactly() {
     let (chain, right_state) = orthogonal_chain(6);
 
     let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
-    let base = chain.sample_rounds(&proof, TRIALS, 0xB17);
+    let base = run_trials_with_workers(&chain.round_plan(&proof), TRIALS, 0xB17, 1);
     for plan in [
         NoisePlan::quiet(),
         NoisePlan::symmetric(NoiseChannel::Depolarizing { p: 0.0 }),
@@ -229,7 +230,7 @@ fn toggling_noise_off_reproduces_the_noise_free_engine_bit_exactly() {
     ] {
         let sampler = NoisyChainSampler::new(&chain, &proof, &plan);
         assert!(sampler.is_quiet(), "{plan:?} must collapse to quiet");
-        let quiet = dqma::trials::run_trials(&sampler, TRIALS, 0xB17);
+        let quiet = run_trials_with_workers(&sampler, TRIALS, 0xB17, 1);
         assert_eq!(
             (quiet.trials, quiet.accepts),
             (base.trials, base.accepts),
@@ -240,14 +241,14 @@ fn toggling_noise_off_reproduces_the_noise_free_engine_bit_exactly() {
     // Basis-state proof (AllRight: every register is |1⟩, the left boundary
     // is |0⟩) under dephasing — non-quiet, trivially-acting.
     let basis_proof = cheating_proof(&chain, &right_state, ChainCheat::AllRight);
-    let basis_base = chain.sample_rounds(&basis_proof, TRIALS, 0x5EED);
+    let basis_base = run_trials_with_workers(&chain.round_plan(&basis_proof), TRIALS, 0x5EED, 1);
     let plan = NoisePlan::symmetric(NoiseChannel::Dephasing { lambda: 0.6 });
     let sampler = NoisyChainSampler::new(&chain, &basis_proof, &plan);
     assert!(
         !sampler.is_quiet(),
         "dephasing at λ=0.6 is not a quiet plan"
     );
-    let noisy = dqma::trials::run_trials(&sampler, TRIALS, 0x5EED);
+    let noisy = run_trials_with_workers(&sampler, TRIALS, 0x5EED, 1);
     assert_eq!(
         (noisy.trials, noisy.accepts),
         (basis_base.trials, basis_base.accepts),
@@ -266,7 +267,7 @@ fn noisy_sampling_is_invariant_across_workers_lanes_and_simd() {
     let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
     let plan = NoisePlan::symmetric(NoiseChannel::Depolarizing { p: 0.15 });
     let sampler = NoisyChainSampler::new(&chain, &proof, &plan);
-    let base = dqma::trials::run_trials(&sampler, TRIALS, 0xD1CE);
+    let base = run_trials_with_workers(&sampler, TRIALS, 0xD1CE, 1);
     assert!(base.accepts > 0 && base.accepts < base.trials);
 
     let saved = qsim::simd::enabled();
@@ -275,7 +276,7 @@ fn noisy_sampling_is_invariant_across_workers_lanes_and_simd() {
         for &lanes in &LANE_SWEEP {
             for &workers in &WORKER_SWEEP {
                 let pinned = dqma::trials::with_lane_width(&sampler, lanes);
-                let r = dqma::trials::run_trials_with_workers(&pinned, TRIALS, 0xD1CE, workers);
+                let r = run_trials_with_workers(&pinned, TRIALS, 0xD1CE, workers);
                 assert_eq!(
                     (r.trials, r.accepts),
                     (base.trials, base.accepts),

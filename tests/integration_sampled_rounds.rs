@@ -27,7 +27,7 @@ use dqma::chain::{cheating_proof, ChainCheat, SwapTestChain};
 use dqma::eq_path::EqPathProtocol;
 use dqma::eq_tree::EqTreeProtocol;
 use dqma::relay::RelayEqProtocol;
-use dqma::trials::TrialReport;
+use dqma::trials::{run_trials_with_workers, TrialReport};
 use netsim::topology;
 use qsim::{CMatrix, PureState};
 use rand::rngs::StdRng;
@@ -326,18 +326,20 @@ fn batched_trial_reports_are_identical_across_worker_counts() {
 
     let (chain, right_state) = orthogonal_chain(4);
     let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
+    let chain_plan = chain.round_plan(&proof);
     let chain_base = assert_worker_invariant("chain", |w| {
-        chain.sample_rounds_with_workers(&proof, n, 0xA11CE, w)
+        run_trials_with_workers(&chain_plan, n, 0xA11CE, w)
     });
     // And a different seed must explore a different outcome sequence.
-    let other = chain.sample_rounds_with_workers(&proof, n, 0xB0B, 1);
+    let other = run_trials_with_workers(&chain_plan, n, 0xB0B, 1);
     assert_ne!(chain_base.accepts, other.accepts);
 
     let proto = EqPathProtocol::with_scheme(3, FingerprintScheme::small(4, 7), 4);
     let x = BitString::from_u64(3, 4);
     let y = BitString::from_u64(12, 4);
+    let path_plan = proto.round_plan(&x, &y, ChainCheat::Interpolate);
     assert_worker_invariant("eq_path", |w| {
-        proto.sample_rounds_with_workers(&x, &y, ChainCheat::Interpolate, n, 0xC0DE, w)
+        run_trials_with_workers(&path_plan, n, 0xC0DE, w)
     });
 
     let g = topology::spider(3, 1);
@@ -352,16 +354,18 @@ fn batched_trial_reports_are_identical_across_worker_counts() {
     let mut inputs = vec![tx.clone(); terminals.len()];
     inputs[1] = BitString::from_u64(6, 4);
     let tree_proof = tree.uniform_proof(&tx);
+    let tree_plan = tree.round_plan(&inputs, &tree_proof);
     assert_worker_invariant("eq_tree", |w| {
-        tree.sample_rounds_with_workers(&inputs, &tree_proof, n, 0xDEED, w)
+        run_trials_with_workers(&tree_plan, n, 0xDEED, w)
     });
 
     let relay = RelayEqProtocol::with_spacing(4, 6, 2, 3);
     let rx = BitString::from_u64(11, 4);
     let ry = BitString::from_u64(4, 4);
     let relays = vec![rx.clone(); relay.relay_points().len()];
+    let relay_plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
     assert_worker_invariant("relay", |w| {
-        relay.sample_rounds_with_workers(&rx, &ry, &relays, ChainCheat::Interpolate, n, 0xFEED, w)
+        run_trials_with_workers(&relay_plan, n, 0xFEED, w)
     });
 }
 
@@ -388,7 +392,7 @@ fn assert_lane_invariant<S: dqma::trials::LaneBatched>(
         for &lanes in &LANE_SWEEP {
             for &workers in &WORKER_SWEEP {
                 let pinned = dqma::trials::with_lane_width(plan, lanes);
-                let r = dqma::trials::run_trials_with_workers(&pinned, n, seed, workers);
+                let r = run_trials_with_workers(&pinned, n, seed, workers);
                 assert_eq!(
                     (r.trials, r.accepts),
                     (base.trials, base.accepts),
@@ -437,20 +441,16 @@ fn lane_batched_reports_are_identical_across_lane_widths_workers_and_simd() {
 
     let (chain, right_state) = orthogonal_chain(4);
     let proof = cheating_proof(&chain, &right_state, ChainCheat::Interpolate);
-    let chain_base = chain.sample_rounds_with_workers(&proof, n, 0xA11CE, 1);
-    assert_lane_invariant("chain", &chain.round_plan(&proof), n, 0xA11CE, &chain_base);
+    let chain_plan = chain.round_plan(&proof);
+    let chain_base = run_trials_with_workers(&chain_plan, n, 0xA11CE, 1);
+    assert_lane_invariant("chain", &chain_plan, n, 0xA11CE, &chain_base);
 
     let proto = EqPathProtocol::with_scheme(3, FingerprintScheme::small(4, 7), 4);
     let x = BitString::from_u64(3, 4);
     let y = BitString::from_u64(12, 4);
-    let path_base = proto.sample_rounds_with_workers(&x, &y, ChainCheat::Interpolate, n, 0xC0DE, 1);
-    assert_lane_invariant(
-        "eq_path",
-        &proto.round_plan(&x, &y, ChainCheat::Interpolate),
-        n,
-        0xC0DE,
-        &path_base,
-    );
+    let path_plan = proto.round_plan(&x, &y, ChainCheat::Interpolate);
+    let path_base = run_trials_with_workers(&path_plan, n, 0xC0DE, 1);
+    assert_lane_invariant("eq_path", &path_plan, n, 0xC0DE, &path_base);
 
     let g = topology::spider(3, 1);
     let terminals: Vec<usize> = (0..3).map(|k| topology::spider_leaf(k, 1)).collect();
@@ -464,28 +464,17 @@ fn lane_batched_reports_are_identical_across_lane_widths_workers_and_simd() {
     let mut inputs = vec![tx.clone(); terminals.len()];
     inputs[1] = BitString::from_u64(6, 4);
     let tree_proof = tree.uniform_proof(&tx);
-    let tree_base = tree.sample_rounds_with_workers(&inputs, &tree_proof, n, 0xDEED, 1);
-    assert_lane_invariant(
-        "eq_tree",
-        &tree.round_plan(&inputs, &tree_proof),
-        n,
-        0xDEED,
-        &tree_base,
-    );
+    let tree_plan = tree.round_plan(&inputs, &tree_proof);
+    let tree_base = run_trials_with_workers(&tree_plan, n, 0xDEED, 1);
+    assert_lane_invariant("eq_tree", &tree_plan, n, 0xDEED, &tree_base);
 
     let relay = RelayEqProtocol::with_spacing(4, 6, 2, 3);
     let rx = BitString::from_u64(11, 4);
     let ry = BitString::from_u64(4, 4);
     let relays = vec![rx.clone(); relay.relay_points().len()];
-    let relay_base =
-        relay.sample_rounds_with_workers(&rx, &ry, &relays, ChainCheat::Interpolate, n, 0xFEED, 1);
-    assert_lane_invariant(
-        "relay",
-        &relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate),
-        n,
-        0xFEED,
-        &relay_base,
-    );
+    let relay_plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
+    let relay_base = run_trials_with_workers(&relay_plan, n, 0xFEED, 1);
+    assert_lane_invariant("relay", &relay_plan, n, 0xFEED, &relay_base);
 
     // Chains longer than 62 intermediate nodes draw one coin word per 63
     // nodes. Their counts must be as invariant across lanes × workers ×
@@ -496,7 +485,7 @@ fn lane_batched_reports_are_identical_across_lane_widths_workers_and_simd() {
     for r in [32usize, 62, 63, 64, 65, 127, 128, 256] {
         let proto = EqPathProtocol::with_scheme(r, FingerprintScheme::small(4, 7), 4);
         let plan = proto.round_plan(&x, &y, ChainCheat::Interpolate);
-        let base = proto.sample_rounds_with_workers(&x, &y, ChainCheat::Interpolate, n, 0xC0DE, 1);
+        let base = run_trials_with_workers(&plan, n, 0xC0DE, 1);
         let label = format!("eq_path r={r}");
         if let Some(&(_, accepts)) = pinned.iter().find(|&&(pr, _)| pr == r) {
             assert_eq!(
@@ -517,8 +506,7 @@ fn lane_batched_reports_are_identical_across_lane_widths_workers_and_simd() {
     let relay = RelayEqProtocol::with_spacing(4, 140, 70, 3);
     let relays = vec![rx.clone(); relay.relay_points().len()];
     let plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
-    let base =
-        relay.sample_rounds_with_workers(&rx, &ry, &relays, ChainCheat::Interpolate, n, 0xFEED, 1);
+    let base = run_trials_with_workers(&plan, n, 0xFEED, 1);
     assert_lane_invariant("relay r=140", &plan, n, 0xFEED, &base);
     let walk = round_walk_rate(n, 140, |rng| plan.round(rng));
     assert_rates_agree("relay r=140", base.acceptance_rate(), n, walk, n);
@@ -543,7 +531,8 @@ fn batched_rates_match_the_exact_acceptances_and_the_paper_gap() {
         ] {
             let proof = cheating_proof(&chain, &right_state, cheat);
             let exact = chain.acceptance_separable(&proof);
-            let report = chain.sample_rounds(&proof, trials, 9000 + r as u64);
+            let report =
+                run_trials_with_workers(&chain.round_plan(&proof), trials, 9000 + r as u64, 1);
             let eps = report.hoeffding_radius(1e-9);
             assert!(
                 (report.acceptance_rate() - exact).abs() < eps,
@@ -566,7 +555,9 @@ fn batched_rates_match_the_exact_acceptances_and_the_paper_gap() {
     // EQ-path completeness: every batched honest trial accepts.
     let proto = EqPathProtocol::with_scheme(3, FingerprintScheme::small(4, 7), 4);
     let x = BitString::from_u64(3, 4);
-    let honest = proto.sample_honest_rounds(&x, 10_000, 31);
+    let honest_chain = proto.chain(&x, &x);
+    let honest_plan = honest_chain.round_plan(&honest_chain.honest_proof());
+    let honest = run_trials_with_workers(&honest_plan, 10_000, 31, 1);
     assert_eq!(
         honest.accepts, honest.trials,
         "honest batched EQ-path rounds must all accept"
@@ -586,7 +577,7 @@ fn batched_rates_match_the_exact_acceptances_and_the_paper_gap() {
     inputs[1] = BitString::from_u64(6, 4);
     let tree_proof = tree.uniform_proof(&tx);
     let exact = tree.acceptance_separable(&inputs, &tree_proof);
-    let report = tree.sample_rounds(&inputs, &tree_proof, trials, 33);
+    let report = run_trials_with_workers(&tree.round_plan(&inputs, &tree_proof), trials, 33, 1);
     let eps = report.hoeffding_radius(1e-9);
     assert!(
         (report.acceptance_rate() - exact).abs() < eps,
@@ -599,9 +590,11 @@ fn batched_rates_match_the_exact_acceptances_and_the_paper_gap() {
     let rx = BitString::from_u64(11, 4);
     let ry = BitString::from_u64(4, 4);
     let relays = vec![rx.clone(); relay.relay_points().len()];
-    let yes = relay.sample_rounds(&rx, &rx, &relays, ChainCheat::AllLeft, 10_000, 35);
+    let yes_plan = relay.round_plan(&rx, &rx, &relays, ChainCheat::AllLeft);
+    let yes = run_trials_with_workers(&yes_plan, 10_000, 35, 1);
     assert_eq!(yes.accepts, yes.trials);
-    let no = relay.sample_rounds(&rx, &ry, &relays, ChainCheat::Interpolate, trials, 37);
+    let no_plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
+    let no = run_trials_with_workers(&no_plan, trials, 37, 1);
     let seg_gap = 4.0 / (81.0 * (relay.spacing() * relay.spacing()) as f64);
     assert!(
         no.rejection_rate() > seg_gap + no.hoeffding_radius(1e-9),

@@ -18,7 +18,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use dqma::service::{client, json, CheatSpec, InstanceSpec, JobSpec};
-use dqma::trials::{run_trials, BLOCK_TRIALS};
+use dqma::trials::{run_trials_with_workers, BLOCK_TRIALS};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -152,7 +152,7 @@ fn served_reports_are_bit_identical_to_the_in_process_engine() {
         return;
     };
     let spec = job(eq_path_instance(8), 3 * BLOCK_TRIALS + 101, 9);
-    let reference = run_trials(&spec.instance.compile(), spec.trials, spec.seed);
+    let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, spec.seed, 1);
 
     let id = server.submit(&spec);
     let status = server.wait_terminal(id, Duration::from_secs(120));
@@ -649,7 +649,7 @@ fn kill_restart_resumes_jobs_bit_identically_from_the_journal() {
 
     // A job long enough to survive the kill window comfortably.
     let spec = job(eq_path_instance(48), 48 * BLOCK_TRIALS, 77);
-    let reference = run_trials(&spec.instance.compile(), spec.trials, spec.seed);
+    let reference = run_trials_with_workers(&spec.instance.compile(), spec.trials, spec.seed, 1);
 
     let id;
     {

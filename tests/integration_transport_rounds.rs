@@ -25,7 +25,7 @@ use dqma::eq_path::EqPathProtocol;
 use dqma::eq_tree::EqTreeProtocol;
 use dqma::net::{self, run_round, RoundProgram};
 use dqma::relay::RelayEqProtocol;
-use dqma::trials::BlockRng;
+use dqma::trials::{run_trials_with_workers, BlockRng};
 use netsim::{
     topology, CrashWindow, FaultCause, FaultPlan, FaultyTransport, LocalChannelTransport,
     PartitionWindow, RetryPolicy, RoundOutcome, VTime,
@@ -139,7 +139,8 @@ fn zero_fault_transport_rounds_match_in_process_samplers_for_all_four_protocols(
     let no = relay.net_program(&rx, &ry, &relays, ChainCheat::Interpolate);
     let transport_report =
         net::sample_transport_rounds(&no, &no_faults(), &policy(), trials, 0x4F, 1);
-    let in_process = relay.sample_rounds(&rx, &ry, &relays, ChainCheat::Interpolate, trials, 0x50);
+    let plan = relay.round_plan(&rx, &ry, &relays, ChainCheat::Interpolate);
+    let in_process = run_trials_with_workers(&plan, trials, 0x50, 1);
     assert!(
         (transport_report.accept_rate() - in_process.acceptance_rate()).abs() < 2.0 * eps,
         "relay transport rate {} vs in-process rate {}",
