@@ -406,10 +406,10 @@ fn main() {
 
     // Batched trial engine (PR 4): rounds/sec on the same fixed instances —
     // the serial per-round loop (the PR-3 consumer pattern, the `fast`
-    // column of the round rows above) against the batched engine dispatched
-    // over 1/2/4/8 persistent pool workers. Accept counts at a fixed seed
-    // must be identical across worker counts (the engine's determinism
-    // contract), which each row records.
+    // column of the round rows above) against the batched engine spread
+    // over 1/2/4/8 worker threads. Accept counts at a fixed seed must be
+    // identical across worker counts (the engine's determinism contract),
+    // which each row records.
     struct TrialRow {
         name: String,
         serial_loop_ns: f64,
@@ -475,7 +475,7 @@ fn main() {
                 .collect();
         let sampler = chain.mixed_sampler(&proof);
         // ≥ 8 RNG blocks (BLOCK_TRIALS = 8192) so the w8 column really
-        // dispatches 8 slots instead of being clamped by the block count.
+        // runs 8 threads instead of being clamped by the block count.
         let n = 10 * trials::BLOCK_TRIALS;
         // Steady-state guard: the sampler embedded every kernel plan its
         // frontier walk touches at construction, so the timed sweep below
@@ -613,7 +613,7 @@ fn main() {
 
     // Lane-batched trial loop, r = 32 EQ-path shape (the same instance as
     // the PR-4 gate row `eq_path_trials_r32`, single worker so the ratio
-    // isolates the lane executors from pool dispatch). The PR-7 engine gate
+    // isolates the lane executors from thread fan-out). The lane-engine gate
     // compares against the same-run single-lane scalar walk — the PR-5
     // engine shape — because the lane restructure (chunk-fused tables +
     // batched counter RNG fills) accelerates the scalar path as well, and
@@ -719,7 +719,7 @@ fn main() {
 
     // Batched-trial table and JSON rows.
     print_header(
-        "bench_protocols: batched trial engine (ns/round, serial loop vs pooled workers)",
+        "bench_protocols: batched trial engine (ns/round, serial loop vs worker threads)",
         &[
             "benchmark",
             "serial loop",

@@ -168,41 +168,6 @@ fn main() {
         bench_matmul(&mut entries, d);
     }
 
-    // Worker fan-out overhead at 1/2/4/8 workers (PR 4): the fixed cost a
-    // batched trial dispatch pays before any work.
-    // `fast` dispatches one empty chunk per worker on the persistent pool
-    // (threads already parked); the baseline column times the per-call
-    // `std::thread::scope` spawn the kernels used through PR 3.
-    for &w in &[1usize, 2, 4, 8] {
-        let pool = qsim::pool::global();
-        let fast = time_it(
-            || {
-                pool.dispatch(w, w, &|_slot, chunk| {
-                    std::hint::black_box(chunk);
-                });
-            },
-            WINDOW,
-        );
-        let slow = time_it(
-            || {
-                std::thread::scope(|scope| {
-                    for t in 1..w {
-                        scope.spawn(move || {
-                            std::hint::black_box(t);
-                        });
-                    }
-                    std::hint::black_box(0usize);
-                });
-            },
-            WINDOW,
-        );
-        entries.push(Entry {
-            name: format!("pool_dispatch_w{w}"),
-            fast,
-            naive: slow,
-        });
-    }
-
     let columns = [
         "benchmark",
         "strided",
@@ -223,17 +188,11 @@ fn main() {
         // The storage layout of the timed kernels ("soa" split re/im planes
         // from PR 3 on; "aos" interleaved before) and of the naive baseline
         // column, so cross-PR trajectory comparison in BENCH_qsim.json stays
-        // unambiguous. The pool rows time dispatch overhead, not kernels:
-        // their baseline is the pre-PR-4 per-call thread::scope spawn.
-        let (layout, baseline) = if e.name.starts_with("pool_dispatch") {
-            ("pool", "thread-scope")
-        } else {
-            ("soa", "aos-naive")
-        };
+        // unambiguous.
         report.push(&[
             ("name", JsonValue::Str(e.name.clone())),
-            ("layout", JsonValue::Str(layout.to_string())),
-            ("baseline_layout", JsonValue::Str(baseline.to_string())),
+            ("layout", JsonValue::Str("soa".to_string())),
+            ("baseline_layout", JsonValue::Str("aos-naive".to_string())),
             ("ns_per_op", JsonValue::Num(e.fast.ns_per_op)),
             ("ops_per_sec", JsonValue::Num(e.fast.ops_per_sec)),
             ("iters", JsonValue::Int(e.fast.iters)),

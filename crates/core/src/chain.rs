@@ -819,7 +819,7 @@ struct MixedNodeOps {
 /// Per-worker scratch of [`MixedChainSampler`]: the sent register's walk
 /// state and one mat-vec output buffer, as real Hermitian-basis
 /// coefficient vectors — `2·d²` doubles total, allocated once per worker
-/// slot and reused across every trial it runs (the compiled superoperator
+/// thread and reused across every trial it runs (the compiled superoperator
 /// walk needs no frontier buffer at all).
 pub struct MixedChainScratch {
     v: Vec<f64>,
@@ -1234,10 +1234,10 @@ mod tests {
 
     #[test]
     fn mixed_sampler_accepts_are_identical_across_worker_counts() {
-        // The one sampler with *mutable* per-worker scratch: pooled runs
+        // The one sampler with *mutable* per-worker scratch: wide runs
         // must reproduce the serial accept count exactly, which fails if
         // scratch state leaks between blocks or depends on the executing
-        // slot. Needs ≥ 2 RNG blocks so the pooled run actually engages a
+        // thread. Needs ≥ 2 RNG blocks so the wide run actually engages a
         // second worker; a 1-node chain keeps the frontier walks cheap.
         let (left, effect, right_state) = orthogonal_boundary(2);
         let chain = SwapTestChain::new(2, left, effect);
@@ -1249,11 +1249,11 @@ mod tests {
         let sampler = chain.mixed_sampler(&mixed);
         let n = 2 * trials::BLOCK_TRIALS;
         let serial = run_trials_with_workers(&sampler, n, 13, 1);
-        let pooled = run_trials_with_workers(&sampler, n, 13, 4);
-        assert_eq!(pooled.workers, 2, "two blocks engage two slots");
+        let wide = run_trials_with_workers(&sampler, n, 13, 4);
+        assert_eq!(wide.workers, 2, "two blocks engage two threads");
         assert_eq!(
             (serial.trials, serial.accepts),
-            (pooled.trials, pooled.accepts),
+            (wide.trials, wide.accepts),
             "mixed-sampler accepts must not depend on worker count"
         );
     }

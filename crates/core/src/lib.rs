@@ -36,9 +36,9 @@
 //!   block-deterministic fault-sweep sampling;
 //! * [`trials`] — the batched zero-allocation Monte-Carlo trial engine: each
 //!   protocol compiles an instance once into a round plan (`round_plan`),
-//!   and [`trials::run_trials_with_workers`] dispatches fixed-size trial
-//!   blocks of it over as many [`qsim::pool`] workers as the caller asks
-//!   for, with counter-derived per-block RNG streams (accept counts
+//!   and [`trials::run_trials_with_workers`] spreads fixed-size trial
+//!   blocks of it over as many scoped threads as the caller asks for,
+//!   with counter-derived per-block RNG streams (accept counts
 //!   bit-identical at any worker count), returning a
 //!   [`trials::TrialReport`] with Wilson/Hoeffding intervals and
 //!   rounds/sec;

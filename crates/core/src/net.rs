@@ -23,7 +23,8 @@
 //! * faults degrade gracefully: an exhausted retry budget, a receive
 //!   timeout, a crashed node or a panicking executor all terminate the trial
 //!   as [`RoundOutcome::Aborted`] with a [`FaultReport`] naming the node,
-//!   its virtual clock and the cause — never a hang, never a poisoned pool;
+//!   its virtual clock and the cause — never a hang, and never a panic that
+//!   escapes the trial;
 //! * [`TransportSampler`] plugs a program into the block-deterministic
 //!   outcome engine of [`crate::trials`], so fault sweeps inherit the
 //!   bit-identical-at-any-worker-count contract of every other sampler.
@@ -597,7 +598,7 @@ impl RoundProgram for TreeNetProgram {
 // ---------------------------------------------------------------------------
 
 /// An [`OutcomeSampler`] running a [`RoundProgram`] over a faulty channel
-/// transport: each pool worker owns one transport instance (scratch), each
+/// transport: each worker thread owns one transport instance (scratch), each
 /// trial runs under its own [`BlockRng::trial`] coordinate, so outcomes —
 /// accepts, rejects, aborts, message counts and the transcript digest — are
 /// bit-identical at any worker count.
@@ -637,8 +638,8 @@ pub(crate) fn tally(
 }
 
 impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
-    // Each worker slot owns its transport exclusively, so the unsynchronised
-    // local channel needs no locking.
+    // Each worker thread builds and owns its transport, so the
+    // unsynchronised local channel needs no locking.
     type Scratch = FaultyTransport<LocalChannelTransport>;
 
     fn scratch(&self) -> Self::Scratch {
@@ -665,9 +666,9 @@ impl<P: RoundProgram> OutcomeSampler for TransportSampler<'_, P> {
 }
 
 /// Runs `n` transport-level rounds of `program` under fault schedule `plan`,
-/// dispatched over at most `workers` pool slots. The block-index determinism
-/// contract of [`crate::trials`] applies: every field of the report's
-/// [`BlockOutcomes`] is bit-identical at any worker count.
+/// on at most `workers` threads. The block-index determinism contract of
+/// [`crate::trials`] applies: every field of the report's [`BlockOutcomes`]
+/// is bit-identical at any worker count.
 pub fn sample_transport_rounds<P: RoundProgram>(
     program: &P,
     plan: &FaultPlan,

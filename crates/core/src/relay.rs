@@ -550,9 +550,9 @@ mod tests {
         assert_eq!(report.trials, trials);
         // Worker invariance.
         let base = run_trials_with_workers(&plan, trials, 37, 1);
-        let pooled = run_trials_with_workers(&plan, trials, 37, 4);
+        let wide = run_trials_with_workers(&plan, trials, 37, 4);
         assert_eq!(base.accepts, report.accepts);
-        assert_eq!(pooled.accepts, report.accepts);
+        assert_eq!(wide.accepts, report.accepts);
         assert_eq!(plan.num_segments(), proto.segment_boundaries().len() - 1);
     }
 

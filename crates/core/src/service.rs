@@ -465,7 +465,11 @@ fn get_u64(v: &json::Parsed, key: &str) -> Result<u64, String> {
 
 /// JSON numbers travel as `f64`, which holds every integer below 2^53 and
 /// no longer tells integers apart from there on (2^53 + 1 reads as 2^53).
-const JSON_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+const JSON_INT_LIMIT: u64 = 1 << 53;
+
+fn not_a_json_int(key: &str) -> String {
+    format!("field {key:?} is not an integer in [0, 2^53)")
+}
 
 fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
@@ -474,8 +478,8 @@ fn opt_u64(v: &json::Parsed, key: &str) -> Result<Option<u64>, String> {
             let x = f
                 .as_num()
                 .ok_or_else(|| format!("field {key:?} is not a number"))?;
-            if x < 0.0 || x.fract() != 0.0 || x >= JSON_INT_LIMIT {
-                return Err(format!("field {key:?} is not an integer in [0, 2^53)"));
+            if x < 0.0 || x.fract() != 0.0 || x >= JSON_INT_LIMIT as f64 {
+                return Err(not_a_json_int(key));
             }
             Ok(Some(x as u64))
         }
@@ -557,6 +561,33 @@ impl JobSpec {
             deadline_ms,
             chaos,
         })
+    }
+
+    /// Checks that the spec reads back from its JSON form: the instance is
+    /// within the caps, and every integer the form carries without a cap is
+    /// below 2^53. Each refusal names its field.
+    fn check_json_form(&self) -> Result<(), String> {
+        self.instance.validate()?;
+        let scheme_seed = match self.instance {
+            InstanceSpec::EqPath { scheme_seed, .. } | InstanceSpec::EqTree { scheme_seed, .. } => {
+                scheme_seed
+            }
+            InstanceSpec::Relay { seed, .. } => seed,
+        };
+        let chaos = self.chaos.map(|ChaosSpec::PanicAtBlock(b)| b);
+        let fields = [
+            ("trials", Some(self.trials)),
+            ("seed", Some(self.seed)),
+            ("deadline_ms", self.deadline_ms),
+            ("chaos_panic_block", chaos),
+            ("scheme_seed", Some(scheme_seed)),
+        ];
+        for (key, v) in fields {
+            if v.is_some_and(|v| v >= JSON_INT_LIMIT) {
+                return Err(not_a_json_int(key));
+            }
+        }
+        Ok(())
     }
 
     /// Serialises the spec to the submit-request JSON body, which is also
@@ -934,12 +965,8 @@ impl Service {
     /// never a silent drop.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         // The journal holds the job as JSON, so admit only a job that reads
-        // back from it: its instance is within the caps, and every integer
-        // is below 2^53, where JSON numbers stop being exact.
-        let line = spec.to_json();
-        json::parse(&line)
-            .and_then(|v| JobSpec::from_json(&v))
-            .map_err(SubmitError::Invalid)?;
+        // back from it.
+        spec.check_json_form().map_err(SubmitError::Invalid)?;
         if spec.trials == 0 || spec.trials > self.shared.cfg.max_trials {
             return Err(SubmitError::Invalid(format!(
                 "trials {} outside 1..={}",
@@ -951,6 +978,7 @@ impl Service {
                 "chaos injection disabled on this server".to_string(),
             ));
         }
+        let line = spec.to_json();
         let mut st = self.shared.lock();
         if st.queue.len() >= self.shared.cfg.queue_capacity {
             self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -1585,9 +1613,19 @@ mod tests {
                 reps: 1,
             },
         ];
+        // Admission refuses each one too, with the same message, so an
+        // in-process caller cannot journal a job that would not replay.
+        let svc = Service::start(ServiceConfig::default()).unwrap();
         for c in cases {
-            assert!(c.validate().is_err(), "{c:?} must not validate");
+            let Err(refused) = c.validate() else {
+                panic!("{c:?} must not validate");
+            };
+            assert_eq!(
+                svc.submit(job(c, BLOCK_TRIALS, 1)),
+                Err(SubmitError::Invalid(refused))
+            );
         }
+        svc.shutdown();
     }
 
     fn eq_path(r: usize, bits: usize, x: u64, reps: usize) -> InstanceSpec {

@@ -8,16 +8,18 @@
 //! proof states and reallocating scratch per round. Here the per-instance
 //! preparation is hoisted into a *round plan* (see
 //! [`crate::chain::ChainRoundPlan`] and friends), and a shared driver splits
-//! the trials into fixed-size blocks dispatched over the persistent
-//! [`qsim::pool`] workers.
+//! the trials into fixed-size blocks spread over the calling thread and
+//! scoped worker threads spawned for the run.
 //!
 //! Three runners drive a plan: [`run_trials_with_workers`] (accept counts,
-//! over an explicit number of pool slots), [`run_outcome_trials_with_workers`]
+//! over an explicit number of threads), [`run_outcome_trials_with_workers`]
 //! (three-way outcomes and a transcript digest, for transport-backed
 //! rounds), and [`run_trials_observed`] (serial, block by block, with a
 //! deadline and the journal hooks of [`crate::service`]). The width is
 //! always an argument: callers build the plan once and pass the number of
-//! workers they want, `1` for an inline run.
+//! workers they want, `1` for an inline run. A run spawns its own threads
+//! and joins them before it returns, so concurrent runs never share or
+//! wait for workers.
 //!
 //! # Determinism across worker counts (and lane widths)
 //!
@@ -61,10 +63,9 @@
 //!
 //! # Scratch reuse
 //!
-//! A [`BatchSampler`] declares a `Scratch` type built once per worker slot
-//! and reused across every block (and every trial) that worker processes:
-//! one `Mutex` per pool slot, locked once per block and never contended,
-//! since the pool drives a slot from one thread at a time. The pure-state
+//! A [`BatchSampler`] declares a `Scratch` type that each worker thread
+//! builds once, on that thread, and reuses across every block (and every
+//! trial) it processes; no other thread ever sees it. The pure-state
 //! plans need none (their tables make a round a handful of lookups); the
 //! mixed-proof chain sampler reuses its density-matrix frontier buffers
 //! across all trials instead of reallocating three matrices per node per
@@ -73,7 +74,8 @@
 use qsim::random::CounterRng;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::sync::{Mutex, PoisonError};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Trials per RNG-stream block. Fixed — it is part of the determinism
@@ -266,11 +268,12 @@ impl TrialStreams {
 /// A prepared sampler that can run a block of protocol rounds.
 ///
 /// Implementations must make a block's accept count a pure function of
-/// `(self, trials, stream)` — independent of the worker slot — to preserve
-/// the engine's determinism guarantee.
+/// `(self, trials, stream)` — independent of the worker thread — to
+/// preserve the engine's determinism guarantee.
 pub trait BatchSampler: Sync {
-    /// Per-worker scratch, built once per slot and reused across blocks.
-    type Scratch: Send;
+    /// Per-worker scratch, built once on each worker thread and reused
+    /// across the blocks that thread samples.
+    type Scratch;
 
     /// Builds one scratch arena.
     fn scratch(&self) -> Self::Scratch;
@@ -352,7 +355,7 @@ pub struct TrialReport {
     pub trials: u64,
     /// Number of accepting rounds.
     pub accepts: u64,
-    /// Worker slots the run was dispatched over — the *effective* width:
+    /// Threads the run was spread over — the *effective* width:
     /// the requested worker count clamped to the number of RNG blocks
     /// (`⌈trials / BLOCK_TRIALS⌉`), since a block is the dispatch unit.
     pub workers: usize,
@@ -412,10 +415,11 @@ impl TrialReport {
     }
 }
 
-/// Runs `n` trials of `sampler` under master seed `seed`, dispatched over at
-/// most `workers` pool slots (`1` runs inline on the calling thread). The
-/// accept count is identical for every `workers` value (see the module
-/// docs); only the wall clock changes, so the width is the caller's choice.
+/// Runs `n` trials of `sampler` under master seed `seed` on at most
+/// `workers` threads: the calling thread and `workers − 1` scoped threads
+/// spawned for this call (`1` runs inline, in block order). The accept
+/// count is identical for every `workers` value (see the module docs); only
+/// the wall clock changes, so the width is the caller's choice.
 /// The report's `elapsed` covers this call only, not building `sampler`.
 pub fn run_trials_with_workers<S: BatchSampler>(
     sampler: &S,
@@ -441,36 +445,56 @@ pub fn run_trials_with_workers<S: BatchSampler>(
 }
 
 /// The block-dispatch loop behind both runners: samples every block of `n`
-/// trials over at most `workers` pool slots (one scratch arena per slot;
-/// the pool runs inline, in block order, at one slot) and folds the
-/// per-block results with `merge`, which must be commutative since blocks
-/// are claimed dynamically. Returns the folded result and the effective
-/// width: a block is the dispatch unit, so more workers than blocks cannot
-/// engage.
+/// trials on at most `workers` threads and folds the per-block results with
+/// `merge`, which must be commutative since blocks are claimed dynamically.
+/// The calling thread is one of the workers; the others are scoped threads
+/// spawned for this call. Each worker builds its own scratch, claims blocks
+/// from one shared counter and folds its own partial, which the caller
+/// merges after joining; a worker's panic is re-raised with its payload. At
+/// one worker the caller samples every block inline, in block order.
+/// Returns the folded result and the effective width: a block is the
+/// dispatch unit, so more workers than blocks cannot engage.
 fn run_blocks<T, Scr>(
     n: u64,
     seed: u64,
     workers: usize,
-    scratch: impl Fn() -> Scr,
+    scratch: impl Fn() -> Scr + Sync,
     sample: impl Fn(u64, &mut Scr, &BlockRng) -> T + Sync,
     merge: impl Fn(&mut T, T) + Sync,
 ) -> (T, usize)
 where
     T: Default + Send,
-    Scr: Send,
 {
     let nblocks = n.div_ceil(BLOCK_TRIALS);
-    let workers = workers.max(1).min((nblocks as usize).max(1));
-    let total = Mutex::new(T::default());
-    let slots: Vec<Mutex<Scr>> = (0..workers).map(|_| Mutex::new(scratch())).collect();
-    qsim::pool::global().dispatch(workers, nblocks as usize, &|slot, chunk| {
-        let b = chunk as u64;
-        // Uncontended: the pool drives each slot from one thread at a time.
-        let mut s = slots[slot].lock().unwrap_or_else(PoisonError::into_inner);
-        let r = sample(block_len(n, nblocks, b), &mut s, &BlockRng::new(seed, b));
-        merge(&mut total.lock().unwrap_or_else(PoisonError::into_inner), r);
+    let workers = workers.clamp(1, (nblocks as usize).max(1));
+    let next = AtomicU64::new(0);
+    let work = || {
+        let mut s = scratch();
+        let mut partial = T::default();
+        loop {
+            // Relaxed: the counter only hands out block indices; each
+            // partial reaches the caller through `join`.
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= nblocks {
+                return partial;
+            }
+            merge(
+                &mut partial,
+                sample(block_len(n, nblocks, b), &mut s, &BlockRng::new(seed, b)),
+            );
+        }
+    };
+    let total = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut total = work();
+        for h in helpers {
+            match h.join() {
+                Ok(partial) => merge(&mut total, partial),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        total
     });
-    let total = total.into_inner().unwrap_or_else(PoisonError::into_inner);
     (total, workers)
 }
 
@@ -574,9 +598,9 @@ impl BlockOutcomes {
 /// same purity requirement as [`BatchSampler`] applies (a block's outcome
 /// depends only on `(self, trials, stream)`).
 pub trait OutcomeSampler: Sync {
-    /// Per-worker scratch (typically a transport instance), built once per
-    /// slot and reused across blocks.
-    type Scratch: Send;
+    /// Per-worker scratch (typically a transport instance), built once on
+    /// each worker thread and reused across blocks.
+    type Scratch;
 
     /// Builds one scratch arena.
     fn scratch(&self) -> Self::Scratch;
@@ -650,10 +674,10 @@ impl OutcomeReport {
     }
 }
 
-/// Runs `n` three-way trials of `sampler` under master seed `seed`,
-/// dispatched over at most `workers` pool slots. Identical block-index
-/// determinism contract as [`run_trials_with_workers`]: counts *and* the
-/// transcript digest are bit-identical at every worker count.
+/// Runs `n` three-way trials of `sampler` under master seed `seed` on at
+/// most `workers` threads, exactly as [`run_trials_with_workers`] spreads
+/// its blocks. The same block-index determinism contract holds: counts
+/// *and* the transcript digest are bit-identical at every worker count.
 pub fn run_outcome_trials_with_workers<S: OutcomeSampler>(
     sampler: &S,
     n: u64,
@@ -681,6 +705,11 @@ pub fn run_outcome_trials_with_workers<S: OutcomeSampler>(
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     /// A Bernoulli(p) sampler whose scratch counts the blocks it served —
     /// enough to pin the engine's plumbing without any protocol machinery.
@@ -741,6 +770,165 @@ mod tests {
             );
             assert_eq!(r.trials, n);
         }
+    }
+
+    /// Records which thread sampled each block, runs `hold` on that thread,
+    /// then accepts every trial of the block.
+    struct Probe<'a, F: Fn(u64) + Sync> {
+        seen: &'a Mutex<Vec<(u64, ThreadId)>>,
+        hold: F,
+    }
+
+    impl<F: Fn(u64) + Sync> BatchSampler for Probe<'_, F> {
+        type Scratch = ();
+        fn scratch(&self) {}
+        fn sample_block(&self, trials: u64, _scratch: &mut (), stream: &BlockRng) -> u64 {
+            let me = std::thread::current().id();
+            self.seen.lock().unwrap().push((stream.block(), me));
+            (self.hold)(stream.block());
+            trials
+        }
+    }
+
+    /// How long a probe holds a block waiting for another thread.
+    const HOLD: Duration = Duration::from_secs(2);
+
+    /// Sleeps in short steps until `done` holds or `limit` has passed.
+    fn wait_until(limit: Duration, done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !done() && start.elapsed() < limit {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// Distinct threads among the recorded samples.
+    fn threads(seen: &Mutex<Vec<(u64, ThreadId)>>) -> usize {
+        let seen = seen.lock().unwrap();
+        seen.iter().map(|&(_, t)| t).collect::<HashSet<_>>().len()
+    }
+
+    /// Blocks in a probe run: twelve full ones and a five-trial tail.
+    const PROBE_BLOCKS: u64 = 13;
+
+    /// Runs a non-holding probe over [`PROBE_BLOCKS`] blocks at `workers`
+    /// and returns the report with every `(block, thread)` sample.
+    fn probe_run(workers: usize) -> (TrialReport, Mutex<Vec<(u64, ThreadId)>>) {
+        let n = (PROBE_BLOCKS - 1) * BLOCK_TRIALS + 5;
+        let seen = Mutex::new(Vec::new());
+        let probe = Probe {
+            seen: &seen,
+            hold: |_| {},
+        };
+        let r = run_trials_with_workers(&probe, n, 3, workers);
+        assert_eq!((r.trials, r.accepts), (n, n), "workers = {workers}");
+        (r, seen)
+    }
+
+    #[test]
+    fn every_block_is_sampled_exactly_once_at_any_width() {
+        let nblocks = PROBE_BLOCKS;
+        let me = std::thread::current().id();
+        for workers in [1usize, 2, 4, 8] {
+            let (_, seen) = probe_run(workers);
+            let mut seen = seen.into_inner().unwrap();
+            if workers == 1 {
+                // Inline, in block order, on the calling thread.
+                let inline: Vec<_> = (0..nblocks).map(|b| (b, me)).collect();
+                assert_eq!(seen, inline);
+            }
+            seen.sort_unstable_by_key(|&(b, _)| b);
+            let blocks: Vec<u64> = seen.iter().map(|&(b, _)| b).collect();
+            assert_eq!(
+                blocks,
+                (0..nblocks).collect::<Vec<_>>(),
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_samples_on_at_most_the_reported_workers() {
+        for workers in [1usize, 2, 4, 8] {
+            let (r, seen) = probe_run(workers);
+            assert_eq!(r.workers, workers);
+            let used = threads(&seen);
+            assert!(
+                (1..=r.workers).contains(&used),
+                "{used} threads sampled at workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_block_panic_reaches_the_caller_with_its_message() {
+        let caller = std::thread::current().id();
+        for (on_caller, name) in [(true, "calling"), (false, "spawned")] {
+            let seen = Mutex::new(Vec::new());
+            // Two blocks at width 2: each thread holds its block until both
+            // threads have claimed one, so the named thread is the one that
+            // panics.
+            let probe = Probe {
+                seen: &seen,
+                hold: |_| {
+                    wait_until(HOLD, || threads(&seen) == 2);
+                    if (std::thread::current().id() == caller) == on_caller {
+                        panic!("block panic on the {name} thread");
+                    }
+                },
+            };
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_trials_with_workers(&probe, 2 * BLOCK_TRIALS, 5, 2)
+            }))
+            .expect_err("the block panic must reach the caller");
+            let message = payload.downcast_ref::<String>().cloned();
+            assert_eq!(
+                message.as_deref(),
+                Some(format!("block panic on the {name} thread").as_str())
+            );
+        }
+        // A later run at the same width still equals the width-1 count.
+        let coin = Coin { p: 0.37 };
+        let n = 3 * BLOCK_TRIALS + 1234;
+        assert_eq!(
+            run_trials_with_workers(&coin, n, 99, 2).accepts,
+            run_trials_with_workers(&coin, n, 99, 1).accepts
+        );
+    }
+
+    #[test]
+    fn concurrent_wide_runs_each_get_their_own_threads() {
+        let (a_seen, b_seen) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+        let b_done = AtomicBool::new(false);
+        // Run A holds each of its blocks until run B has finished.
+        let a = Probe {
+            seen: &a_seen,
+            hold: |_| wait_until(5 * HOLD, || b_done.load(Ordering::Acquire)),
+        };
+        // Run B's first block waits until a second thread has sampled for B.
+        let b = Probe {
+            seen: &b_seen,
+            hold: |block| {
+                if block == 0 {
+                    wait_until(HOLD, || threads(&b_seen) == 2);
+                }
+            },
+        };
+        let n = 2 * BLOCK_TRIALS;
+        std::thread::scope(|scope| {
+            let run_a = scope.spawn(|| run_trials_with_workers(&a, n, 1, 2));
+            wait_until(HOLD, || !a_seen.lock().unwrap().is_empty());
+            assert!(!a_seen.lock().unwrap().is_empty(), "run A never started");
+            let rb = run_trials_with_workers(&b, n, 2, 2);
+            b_done.store(true, Ordering::Release);
+            let ra = run_a.join().unwrap();
+            assert_eq!((ra.accepts, rb.accepts), (n, n));
+            assert_eq!((ra.workers, rb.workers), (2, 2));
+        });
+        assert_eq!(
+            threads(&b_seen),
+            2,
+            "run B, started while run A was inside a block, ran on one thread"
+        );
     }
 
     #[test]

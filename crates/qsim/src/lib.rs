@@ -123,16 +123,9 @@
 //!   across lane widths, worker counts and the scalar/SIMD switch, and
 //!   [`simd::set_enabled`] lets one process time both paths for same-run
 //!   `speedup_simd_vs_scalar` bench columns.
-//! * **Persistent worker pool** — [`pool`] keeps long-lived parked worker
-//!   threads (std only; rayon is deliberately not a dependency: this
-//!   workspace builds offline) with chunked index-range dispatch, slot ids
-//!   that one thread drives at a time (so per-slot scratch is never
-//!   contended), and threads spawned lazily up to the width each dispatch
-//!   asks for. The batched Monte-Carlo trial engines of the `dqma` crate
-//!   drive it for millions-of-rounds sweeps, one block of trials per chunk,
-//!   at the width their caller passes; the kernels themselves stay
-//!   single-threaded. The pool is always compiled, and accept counts do not
-//!   depend on its width.
+//! * **No threads** — every kernel runs on its caller's thread. The batched
+//!   trial engine of the `dqma` crate spreads blocks of trials over scoped
+//!   threads itself, at the width its caller passes.
 //!
 //! The pre-kernel implementations survive in [`naive`] as reference oracles:
 //! randomized property tests pin the kernels to them within `1e-12`, and the
@@ -157,8 +150,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// `unsafe` lives only in `simd` (the AVX2 intrinsics) and `pool` (the
-// lifetime-erased job pointer); both modules opt back in.
+// `unsafe` lives only in `simd`, which opts back in for the AVX2
+// intrinsics.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -173,7 +166,6 @@ pub mod naive;
 pub mod noise;
 pub mod permutation;
 pub mod plan;
-pub mod pool;
 pub mod random;
 pub mod simd;
 pub mod state;
